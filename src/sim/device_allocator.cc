@@ -32,8 +32,10 @@ Result<DeviceAllocation> DeviceAllocator::Allocate(size_t bytes,
         tag + ", used " + std::to_string(current) + "/" +
         std::to_string(capacity_));
   }
-  const size_t now = current + bytes;
-  used_.store(now, std::memory_order_relaxed);
+  // Free() runs without mutex_, so add atomically: a plain store of
+  // current + bytes would overwrite a concurrent free. Frees only lower
+  // used_, so the capacity check above stays conservative.
+  const size_t now = used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   if (now > peak_used_.load(std::memory_order_relaxed)) {
     peak_used_.store(now, std::memory_order_relaxed);
   }

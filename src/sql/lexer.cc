@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <unordered_set>
 
 namespace hetdb {
@@ -67,14 +68,21 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         }
         ++j;
       }
-      const std::string spelling = sql.substr(i, j - i);
-      token.text = spelling;
+      const char* first = sql.data() + i;
+      const char* last = sql.data() + j;
+      std::from_chars_result parsed;
       if (is_float) {
         token.kind = TokenKind::kFloat;
-        token.float_value = std::stod(spelling);
+        parsed = std::from_chars(first, last, token.float_value);
       } else {
         token.kind = TokenKind::kInteger;
-        token.int_value = std::stoll(spelling);
+        parsed = std::from_chars(first, last, token.int_value);
+      }
+      token.text = sql.substr(i, j - i);
+      if (parsed.ec != std::errc()) {
+        return Status::InvalidArgument("numeric literal " + token.text +
+                                       " out of range at position " +
+                                       std::to_string(i));
       }
       i = j;
     } else if (c == '\'') {

@@ -38,7 +38,7 @@ struct Token {
 /// Splits `sql` into tokens. Keywords are recognized case-insensitively and
 /// normalized to upper case; identifiers keep their spelling. Returns
 /// InvalidArgument with a position on malformed input (e.g. an unterminated
-/// string literal).
+/// string literal, or a numeric literal outside int64_t or double range).
 Result<std::vector<Token>> Tokenize(const std::string& sql);
 
 }  // namespace hetdb

@@ -149,11 +149,12 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
     return plan;
   };
 
-  // Greedy join order: start at the smallest estimated table and repeatedly
-  // join the smallest table connected to the current result.
+  // Greedy join order: start at the largest estimated table, the probe source
+  // that fusion streams, and repeatedly join the smallest table connected to
+  // the current result, so every hash table is built on the smaller input.
   std::string start;
   for (const auto& [name, state] : tables) {
-    if (start.empty() || EstimatedRows(state) < EstimatedRows(tables[start])) {
+    if (start.empty() || EstimatedRows(state) > EstimatedRows(tables[start])) {
       start = name;
     }
   }

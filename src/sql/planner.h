@@ -15,10 +15,13 @@ namespace hetdb {
 ///  1. resolve columns against the catalog (column names must be unique
 ///     across the referenced tables, as in the SSB/TPC-H schemas);
 ///  2. push filters down to per-table scan+select subplans;
-///  3. order joins greedily by estimated (filtered) input size, building the
-///     hash table on the smaller side; column-equality predicates that are
-///     not needed for connectivity become residual filters evaluated as a
-///     projected difference (how HetDB runs TPC-H Q5/Q7's nation joins);
+///  3. order joins greedily by estimated (filtered) input size: the largest
+///     input is the probe source, and each later join builds its hash table
+///     on the smallest table connected to the running result (so SSB
+///     streams lineorder through dimension hash tables, as in the paper);
+///     column-equality predicates that are not needed for connectivity
+///     become residual filters evaluated as a projected difference (how
+///     HetDB runs TPC-H Q5/Q7's nation joins);
 ///  4. add projection, aggregation, ORDER BY, and LIMIT.
 Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
                               const Database& db);

@@ -517,6 +517,19 @@ TEST_F(ServerTest, LineProtocolOverSocketpair) {
   const std::string error = read_line();
   EXPECT_EQ(error.rfind("ERR ", 0), 0u) << error;
 
+  // A literal beyond int64_t is an error reply, not the end of the server:
+  // the next query on the same connection still runs.
+  send("QUERY SELECT count(lo_revenue) AS n FROM lineorder "
+       "WHERE lo_quantity < 99999999999999999999\n");
+  const std::string range_error = read_line();
+  EXPECT_EQ(range_error.rfind("ERR InvalidArgument ", 0), 0u) << range_error;
+  send("QUERY SELECT count(lo_revenue) AS n FROM lineorder "
+       "WHERE lo_quantity < 25\n");
+  const std::string after = read_line();
+  ASSERT_EQ(after.rfind("ROWS 1 1 1 ", 0), 0u) << after;
+  EXPECT_FALSE(read_line().empty());
+  EXPECT_EQ(read_line(), "DONE");
+
   send("BYE\n");
   serving.join();
   ::close(client);
