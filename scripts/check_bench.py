@@ -44,6 +44,15 @@ Usage:
   scripts/check_bench.py fig26.json --availability
                          [--goodput-floor 0.1] [--recovery-ceiling 20.0]
 
+With --fig17 the candidate is a fig17_query_times_sf30 artifact and the
+gate checks the paper's Figure 17 claim that GPU-Only slows every query
+down at SF 30 (the working set overflows the device cache): GPU Only must
+take at least 1.2x CPU Only's time on every query. Both run on the modeled
+clock, so the ratio holds on any host.
+
+Usage:
+  scripts/check_bench.py fig17.json --fig17
+
 Exit code 0 = within tolerance, 1 = regression, 2 = malformed input.
 """
 
@@ -55,6 +64,7 @@ import sys
 FAMILIES = ["Filter", "HashJoin", "Aggregate"]
 PARALLEL_DOP = 8
 FUSION_DOP = 8
+FIG17_MIN_GPU_SLOWDOWN = 1.2
 
 
 def load_medians(path):
@@ -283,6 +293,47 @@ def check_availability(path, goodput_floor, recovery_ceiling):
     return 0
 
 
+def check_fig17(path):
+    """Gate on a fig17 artifact: GPU Only slower than CPU Only everywhere."""
+    try:
+        with open(path) as fp:
+            doc = json.load(fp)
+    except (OSError, json.JSONDecodeError) as error:
+        print(f"error: cannot read {path}: {error}", file=sys.stderr)
+        return 2
+    queries = doc.get("queries", [])
+    if not queries:
+        print(f"error: {path} holds no queries", file=sys.stderr)
+        return 2
+
+    failures = []
+    print(f"{'query':<8}{'cpu_ms':>10}{'gpu_ms':>10}{'gpu/cpu':>9}")
+    for entry in queries:
+        name = entry.get("query", "?")
+        latency = entry.get("latency_ms", {})
+        cpu = latency.get("CPU Only", -1.0)
+        gpu = latency.get("GPU Only", -1.0)
+        if cpu <= 0 or gpu <= 0:
+            failures.append(f"{name}: missing CPU Only/GPU Only latency")
+            continue
+        ratio = gpu / cpu
+        print(f"{name:<8}{cpu:>10.1f}{gpu:>10.1f}{ratio:>9.2f}")
+        if ratio < FIG17_MIN_GPU_SLOWDOWN:
+            failures.append(
+                f"{name}: GPU Only {gpu:.1f} ms is only {ratio:.2f}x CPU "
+                f"Only {cpu:.1f} ms (floor {FIG17_MIN_GPU_SLOWDOWN:.2f}x) — "
+                f"Figure 17's GPU-Only slowdown no longer reproduces")
+
+    if failures:
+        print("\nREGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"\nOK: GPU Only >= {FIG17_MIN_GPU_SLOWDOWN:.2f}x CPU Only on "
+          f"every query")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("candidate", help="fresh benchmark JSON to check")
@@ -297,6 +348,9 @@ def main():
                         help="treat candidate as a fig18_scaleout artifact")
     parser.add_argument("--availability", action="store_true",
                         help="treat candidate as a fig26_availability "
+                             "artifact")
+    parser.add_argument("--fig17", action="store_true",
+                        help="treat candidate as a fig17_query_times_sf30 "
                              "artifact")
     parser.add_argument("--goodput-floor", type=float, default=0.1,
                         help="device-loss goodput floor as a fraction of "
@@ -325,6 +379,8 @@ def main():
     if args.availability:
         return check_availability(args.candidate, args.goodput_floor,
                                   args.recovery_ceiling)
+    if args.fig17:
+        return check_fig17(args.candidate)
 
     baseline = load_medians(args.baseline)
     candidate = load_medians(args.candidate)

@@ -131,8 +131,9 @@ DataCache::Access DataCache::RequireOnDevice(const ColumnPtr& column,
         used_bytes_ += bytes;
         ++stats_.insertions;
       } else {
-        // Transient: cannot be made resident; caller pays the transfer and
-        // must keep the bytes in device heap for the operator's lifetime.
+        // Transient: cannot be made resident. The bytes need a device heap
+        // buffer for the operator's lifetime; allocate it before the
+        // transfer, so a full heap aborts without moving a byte.
         lock.unlock();
         TraceSpan transient_span;
         if (TraceRecorder::enabled()) {
@@ -140,16 +141,26 @@ DataCache::Access DataCache::RequireOnDevice(const ColumnPtr& column,
           transient_span.AddArg("action", "transient");
           transient_span.AddArg("bytes", static_cast<int64_t>(bytes));
         }
-        Status transfer_status =
-            simulator_->bus(device_id_).Transfer(bytes, TransferDirection::kHostToDevice);
         Access access;
         access.hit = false;
         access.resident = false;
+        Result<DeviceAllocation> buffer =
+            simulator_->device_heap(device_id_).Allocate(
+                bytes, "transient input " + key);
+        if (!buffer.ok()) {
+          access.status = buffer.status();
+          return access;
+        }
+        Status transfer_status =
+            simulator_->bus(device_id_).Transfer(bytes, TransferDirection::kHostToDevice);
         if (!transfer_status.ok()) {
+          // `buffer` goes out of scope: the heap gets its bytes back.
           std::lock_guard<std::mutex> stats_lock(mutex_);
           ++stats_.load_failures;
           access.status = std::move(transfer_status);
+          return access;
         }
+        access.heap_buffer = std::move(buffer).value();
         return access;
       }
     }

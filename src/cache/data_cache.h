@@ -98,8 +98,14 @@ class DataCache {
     bool hit = false;       ///< column was already device-resident
     bool resident = false;  ///< column is device-resident after the call
     Lease lease;            ///< valid iff resident
-    /// Non-OK when the load transfer faulted: the column is neither cached
-    /// nor transferred, and the caller must abort the operator with this
+    /// Valid iff the access succeeded transiently: the device heap buffer
+    /// (`EntryBytes` of the column) the column was transferred into. The
+    /// caller holds it for the operator's lifetime.
+    DeviceAllocation heap_buffer;
+    /// Non-OK when the column could not be brought to the device: the heap
+    /// had no room for a transient column (ResourceExhausted, no byte
+    /// moved) or the load transfer faulted. The column is then neither
+    /// cached nor held, and the caller must abort the operator with this
     /// status (classification decides between device retry and CPU).
     Status status;
   };
@@ -113,9 +119,12 @@ class DataCache {
   /// Operator-driven access: returns a lease on a hit; on a miss transfers
   /// the column over the bus and demand-inserts it (evicting as needed). If
   /// the column cannot fit even after evicting every unleased, unpinned
-  /// entry, the transfer still happens but the column is *transient*
-  /// (`resident == false`): the caller must hold it in device heap for the
-  /// operator's lifetime — this is the cache-thrashing path.
+  /// entry, it is *transient* (`resident == false`) — the cache-thrashing
+  /// path: a buffer is allocated from this device's heap *before* the
+  /// transfer and handed back in `heap_buffer`, which the caller holds for
+  /// the operator's lifetime. When the heap has no room the access fails
+  /// with ResourceExhausted before any byte crosses the bus; when the
+  /// transfer faults the buffer is released again.
   Access RequireOnDevice(const ColumnPtr& column, const std::string& key);
 
   /// The paper's Algorithm 1: given all candidate columns, selects the most
@@ -137,11 +146,11 @@ class DataCache {
   void Clear();
 
   /// Installs a demand-admission gate (null clears). While the gate returns
-  /// false, RequireOnDevice misses still transfer the column but no longer
-  /// demand-insert it (the transient path): the resident hot set stops
-  /// churning under pressure. The brownout controller's L2 level is the
-  /// intended caller; the gate must be cheap and lock-free (it is invoked
-  /// under the cache mutex).
+  /// false, RequireOnDevice misses no longer demand-insert the column but
+  /// take the transient path (a heap buffer, then the transfer into it):
+  /// the resident hot set stops churning under pressure. The brownout
+  /// controller's L2 level is the intended caller; the gate must be cheap
+  /// and lock-free (it is invoked under the cache mutex).
   void SetAdmissionGate(std::function<bool()> gate);
 
   size_t capacity_bytes() const { return capacity_bytes_; }

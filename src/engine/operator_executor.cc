@@ -137,23 +137,22 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
     for (const auto& [key, column] : scan.base_columns()) {
       DataCache::Access access =
           ctx.cache(device).RequireOnDevice(column, key);
-      if (!access.status.ok()) {
-        // The load transfer faulted; the column is neither cached nor held.
-        return abort_with(access.status);
-      }
+      // A failed load is still a miss, as in the cache's own stats.
       if (QueryStats* stats = QueryStatsScope::current_stats()) {
         stats->OnCacheAccess(access.hit, QueryStatsScope::current_node());
       }
+      if (!access.status.ok()) {
+        // No heap room for a transient column, or its load transfer
+        // faulted: the column is neither cached nor held.
+        return abort_with(access.status);
+      }
       if (access.resident) {
         result.cache_leases.push_back(std::move(access.lease));
-        continue;
+      } else {
+        // Cache cannot hold the column: it was transferred into a heap
+        // buffer for this operator only (the thrashing path). Hold it.
+        result.device_allocations.push_back(std::move(access.heap_buffer));
       }
-      // Cache cannot hold the column: it was transferred into device heap
-      // for this operator only (the thrashing path). Hold the bytes.
-      Result<DeviceAllocation> allocation = heap.Allocate(
-          ctx.cache(device).EntryBytes(*column), "transient input " + key);
-      if (!allocation.ok()) return abort_with(allocation.status());
-      result.device_allocations.push_back(std::move(allocation).value());
     }
     Status launch = CheckKernelLaunch(node, node.InputBytes({}), ctx, device);
     if (!launch.ok()) return abort_with(launch);

@@ -51,8 +51,9 @@ struct OperatorResult {
 ///
 /// Device path (in order, mirroring Section 4.1 — "operators typically start
 /// with the allocation of memory for their input data and data structures"):
-///   1. acquire inputs — cache lookup/insert for base columns (scans),
-///      heap allocation + host-to-device transfer for host-resident inputs;
+///   1. acquire inputs — for a scan's base columns a cache lease, or a heap
+///      buffer the cache allocates before the column's transfer; heap
+///      allocation + host-to-device transfer for host-resident inputs;
 ///   2. allocate intermediate data structures from the device heap;
 ///   3. run the kernel, charging device time;
 ///   4. allocate the result buffer (actual result size).

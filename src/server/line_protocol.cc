@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "common/logging.h"
 #include "storage/column.h"
@@ -18,26 +20,52 @@ namespace hetdb {
 
 namespace {
 
+/// Longest DEADLINE budget accepted (one day). It keeps `now() + budget`
+/// far inside steady_clock's range.
+constexpr int64_t kMaxDeadlineMillis = 24 * 60 * 60 * 1000;
+
+/// Parses a DEADLINE argument: whole milliseconds in [0, kMaxDeadlineMillis]
+/// and nothing else. Returns nullopt for anything else.
+std::optional<std::chrono::milliseconds> ParseDeadline(const std::string& text) {
+  int64_t millis = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, millis);
+  if (error != std::errc() || end != last || millis < 0 ||
+      millis > kMaxDeadlineMillis) {
+    return std::nullopt;
+  }
+  return std::chrono::milliseconds(millis);
+}
+
 /// Buffered line reader over a stream fd.
 class LineReader {
  public:
+  enum class Outcome { kLine, kEnd, kTooLong };
+
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// Reads up to the next '\n' (stripped, along with a preceding '\r').
-  /// Returns false on EOF/error with no pending line.
-  bool ReadLine(std::string* line) {
+  /// kEnd on EOF/error with no pending line; kTooLong once more than
+  /// LineProtocolServer::kMaxLineBytes arrived without a '\n'.
+  Outcome ReadLine(std::string* line) {
     line->clear();
+    size_t scanned = 0;
     for (;;) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
+      const size_t newline = buffer_.find('\n', scanned);
+      if (newline != std::string::npos &&
+          newline <= LineProtocolServer::kMaxLineBytes) {
         *line = buffer_.substr(0, newline);
         buffer_.erase(0, newline + 1);
         if (!line->empty() && line->back() == '\r') line->pop_back();
-        return true;
+        return Outcome::kLine;
       }
+      if (buffer_.size() > LineProtocolServer::kMaxLineBytes) {
+        return Outcome::kTooLong;
+      }
+      scanned = buffer_.size();
       char chunk[4096];
       const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return false;
+      if (n <= 0) return Outcome::kEnd;
       buffer_.append(chunk, static_cast<size_t>(n));
     }
   }
@@ -103,8 +131,14 @@ void LineProtocolServer::Serve(int fd) {
 
   WriteAll(fd, "HETDB 1 ready\n");
   std::string line;
-  while (!stopping_.load(std::memory_order_relaxed) &&
-         reader.ReadLine(&line)) {
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    const LineReader::Outcome read = reader.ReadLine(&line);
+    if (read == LineReader::Outcome::kEnd) break;
+    if (read == LineReader::Outcome::kTooLong) {
+      WriteAll(fd, "ERR InvalidArgument line longer than " +
+                       std::to_string(kMaxLineBytes) + " bytes\n");
+      break;
+    }
     if (line.empty()) continue;
     const size_t space = line.find(' ');
     std::string verb = line.substr(0, space);
@@ -119,7 +153,20 @@ void LineProtocolServer::Serve(int fd) {
       session = server_->OpenSession(tenant);
       if (!WriteAll(fd, "OK tenant " + tenant + "\n")) break;
     } else if (verb == "DEADLINE") {
-      deadline_budget = std::chrono::milliseconds(std::atol(rest.c_str()));
+      const std::optional<std::chrono::milliseconds> budget =
+          ParseDeadline(rest);
+      if (!budget.has_value()) {
+        if (!WriteAll(fd, "ERR InvalidArgument DEADLINE takes whole "
+                          "milliseconds in [0, " +
+                              std::to_string(kMaxDeadlineMillis) +
+                              "]; deadline stays " +
+                              std::to_string(deadline_budget.count()) +
+                              "ms\n")) {
+          break;
+        }
+        continue;
+      }
+      deadline_budget = *budget;
       if (!WriteAll(fd, "OK deadline " +
                             std::to_string(deadline_budget.count()) +
                             "ms\n")) {

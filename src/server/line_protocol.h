@@ -28,6 +28,7 @@ struct LineProtocolOptions {
 ///                                   HETDB 1 ready
 ///   HELLO tenant-a                  OK tenant tenant-a
 ///   DEADLINE 250                    OK deadline 250ms
+///   DEADLINE -5                     ERR InvalidArgument ... (budget kept)
 ///   QUERY select ... from ...       ROWS <sent> <total> <cols> <micros>
 ///                                   <tab-separated row> x sent
 ///                                   DONE
@@ -36,12 +37,17 @@ struct LineProtocolOptions {
 ///
 /// Every QUERY goes through the same Session/admission path as in-process
 /// clients: a shed query surfaces as `ERR ResourceExhausted shed: ...`.
+/// `DEADLINE 0` clears the budget. A line longer than kMaxLineBytes gets
+/// `ERR InvalidArgument line longer than ...` and the connection closes.
 ///
 /// Serve(fd) speaks the protocol over any connected stream fd (socketpair
 /// in tests); Listen() opens a TCP listener with an accept loop and one
 /// thread per connection.
 class LineProtocolServer {
  public:
+  /// Longest request line (excluding its '\n') the server buffers.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   explicit LineProtocolServer(Server* server, LineProtocolOptions options = {});
   ~LineProtocolServer();
 

@@ -97,6 +97,52 @@ TEST_F(DataCacheTest, TransientWhenNothingFits) {
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
+TEST_F(DataCacheTest, TransientWithoutHeapRoomMovesNoBytes) {
+  SystemConfig config;
+  config.simulate_time = false;
+  config.device_memory_bytes = 300 + 500;  // 500-byte heap beside the cache
+  config.device_cache_bytes = 300;
+  Simulator simulator(config);
+  DataCache cache(300, EvictionPolicy::kLru, &simulator);
+  ColumnPtr big = MakeColumn("big", 200);  // 800 bytes: fits neither
+  auto access = cache.RequireOnDevice(big, "t.big");
+  EXPECT_TRUE(access.status.IsResourceExhausted()) << access.status.ToString();
+  EXPECT_FALSE(access.resident);
+  EXPECT_FALSE(access.heap_buffer.valid());
+  EXPECT_EQ(
+      simulator.bus().transferred_bytes(TransferDirection::kHostToDevice), 0u);
+  EXPECT_EQ(cache.used_bytes(), 0u);
+  EXPECT_EQ(simulator.device_heap().used(), 0u);
+}
+
+TEST_F(DataCacheTest, TransientHeapBufferLivesAsLongAsTheAccess) {
+  DataCache cache(300, EvictionPolicy::kLru, simulator_.get());
+  ColumnPtr big = MakeColumn("big", 200);
+  {
+    auto access = cache.RequireOnDevice(big, "t.big");
+    ASSERT_TRUE(access.status.ok()) << access.status.ToString();
+    EXPECT_FALSE(access.resident);
+    EXPECT_EQ(access.heap_buffer.bytes(), cache.EntryBytes(*big));
+    EXPECT_EQ(simulator_->device_heap().used(), cache.EntryBytes(*big));
+  }
+  EXPECT_EQ(simulator_->device_heap().used(), 0u);
+  EXPECT_EQ(cache.used_bytes(), 0u);
+}
+
+TEST_F(DataCacheTest, TransientTransferFaultReleasesHeapBuffer) {
+  DataCache cache(300, EvictionPolicy::kLru, simulator_.get());
+  simulator_->fault_injector().SetSchedule(
+      FaultSite::kTransfer, FaultSchedule::Always(FaultKind::kTransient));
+  ColumnPtr big = MakeColumn("big", 200);
+  auto access = cache.RequireOnDevice(big, "t.big");
+  EXPECT_FALSE(access.status.ok());
+  EXPECT_FALSE(access.heap_buffer.valid());
+  // The buffer was granted before the transfer, then given back.
+  EXPECT_EQ(simulator_->device_heap().peak_used(), cache.EntryBytes(*big));
+  EXPECT_EQ(simulator_->device_heap().used(), 0u);
+  EXPECT_EQ(cache.stats().load_failures, 1u);
+}
+
 TEST_F(DataCacheTest, LeasedEntriesAreNotEvicted) {
   DataCache cache(800, EvictionPolicy::kLru, simulator_.get());
   ColumnPtr a = MakeColumn("a", 100), b = MakeColumn("b", 100),

@@ -105,6 +105,28 @@ TEST_F(ExecutorTest, GpuScanAbortsWhenHeapAndCacheTooSmall) {
   EXPECT_TRUE(result.status().IsResourceExhausted());
   EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 1u);
   EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);  // rollback
+  // No buffer, no transfer: the abort moved no byte over the bus.
+  EXPECT_EQ(ctx.simulator().bus().transferred_bytes(
+                TransferDirection::kHostToDevice),
+            0u);
+}
+
+TEST_F(ExecutorTest, GpuScanAbortPaysOnlyTransfersWithGrantedBuffers) {
+  SystemConfig config = TestConfig();
+  config.device_cache_bytes = 1 << 10;
+  // Heap room for one of the scan's two 4000-byte columns.
+  config.device_memory_bytes = config.device_cache_bytes + 6000;
+  EngineContext ctx(config, db_);
+  PlanNodePtr scan = ScanFact();
+  auto result = ExecuteOperator(*scan, {}, ProcessorKind::kGpu, ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted());
+  // The first column got its buffer and crossed the bus; the second found
+  // the heap full before its transfer.
+  EXPECT_EQ(ctx.simulator().bus().transferred_bytes(
+                TransferDirection::kHostToDevice),
+            4000u);
+  EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);
 }
 
 TEST_F(ExecutorTest, GpuSelectOverCpuChildTransfersInput) {

@@ -472,67 +472,152 @@ TEST_F(ServerTest, TrafficDriverClosedLoopCompletesQueries) {
   EXPECT_FALSE(result.ToJson().empty());
 }
 
-TEST_F(ServerTest, LineProtocolOverSocketpair) {
-  Server server(ctx_.get());
-  LineProtocolServer front_door(&server);
+/// One socketpair connection served by `front_door.Serve` on its own thread;
+/// the test speaks the client side line by line.
+class LineProtocolClient {
+ public:
+  explicit LineProtocolClient(LineProtocolServer* front_door) {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    fd_ = fds[1];
+    serving_ = std::thread([front_door, server_fd = fds[0]] {
+      front_door->Serve(server_fd);
+    });
+  }
+  /// Closing the client end ends Serve's read loop if BYE was not sent.
+  ~LineProtocolClient() {
+    ::close(fd_);
+    serving_.join();
+  }
+  LineProtocolClient(const LineProtocolClient&) = delete;
+  LineProtocolClient& operator=(const LineProtocolClient&) = delete;
 
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::thread serving([&front_door, &fds] { front_door.Serve(fds[0]); });
+  int fd() const { return fd_; }
 
-  const int client = fds[1];
-  std::string buffered;
-  auto read_line = [&]() -> std::string {
+  /// The next line without its '\n', or "" at EOF.
+  std::string ReadLine() {
     for (;;) {
-      const size_t newline = buffered.find('\n');
+      const size_t newline = buffered_.find('\n');
       if (newline != std::string::npos) {
-        std::string line = buffered.substr(0, newline);
-        buffered.erase(0, newline + 1);
+        std::string line = buffered_.substr(0, newline);
+        buffered_.erase(0, newline + 1);
         return line;
       }
       char chunk[1024];
-      const ssize_t n = ::read(client, chunk, sizeof(chunk));
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
       if (n <= 0) return "";
-      buffered.append(chunk, static_cast<size_t>(n));
+      buffered_.append(chunk, static_cast<size_t>(n));
     }
-  };
-  auto send = [&](const std::string& line) {
-    ASSERT_EQ(::write(client, line.data(), line.size()),
+  }
+
+  void Send(const std::string& line) {
+    ASSERT_EQ(::write(fd_, line.data(), line.size()),
               static_cast<ssize_t>(line.size()));
-  };
+  }
 
-  EXPECT_EQ(read_line(), "HETDB 1 ready");
+  /// True iff the server closed the connection with nothing left to read.
+  bool AtEof() {
+    char byte = 0;
+    return buffered_.empty() && ::read(fd_, &byte, 1) == 0;
+  }
 
-  send("HELLO tenant-x\n");
-  EXPECT_EQ(read_line(), "OK tenant tenant-x");
+ private:
+  int fd_ = -1;
+  std::string buffered_;
+  std::thread serving_;
+};
 
-  send("QUERY SELECT count(lo_revenue) AS n FROM lineorder\n");
-  const std::string header = read_line();
+TEST_F(ServerTest, LineProtocolOverSocketpair) {
+  Server server(ctx_.get());
+  LineProtocolServer front_door(&server);
+  LineProtocolClient client(&front_door);
+
+  EXPECT_EQ(client.ReadLine(), "HETDB 1 ready");
+
+  client.Send("HELLO tenant-x\n");
+  EXPECT_EQ(client.ReadLine(), "OK tenant tenant-x");
+
+  client.Send("QUERY SELECT count(lo_revenue) AS n FROM lineorder\n");
+  const std::string header = client.ReadLine();
   ASSERT_EQ(header.rfind("ROWS 1 1 1 ", 0), 0u) << header;
-  const std::string row = read_line();
+  const std::string row = client.ReadLine();
   EXPECT_FALSE(row.empty());
-  EXPECT_EQ(read_line(), "DONE");
+  EXPECT_EQ(client.ReadLine(), "DONE");
 
-  send("QUERY SELECT nonsense FROM nowhere\n");
-  const std::string error = read_line();
+  client.Send("QUERY SELECT nonsense FROM nowhere\n");
+  const std::string error = client.ReadLine();
   EXPECT_EQ(error.rfind("ERR ", 0), 0u) << error;
 
   // A literal beyond int64_t is an error reply, not the end of the server:
   // the next query on the same connection still runs.
-  send("QUERY SELECT count(lo_revenue) AS n FROM lineorder "
-       "WHERE lo_quantity < 99999999999999999999\n");
-  const std::string range_error = read_line();
+  client.Send("QUERY SELECT count(lo_revenue) AS n FROM lineorder "
+              "WHERE lo_quantity < 99999999999999999999\n");
+  const std::string range_error = client.ReadLine();
   EXPECT_EQ(range_error.rfind("ERR InvalidArgument ", 0), 0u) << range_error;
-  send("QUERY SELECT count(lo_revenue) AS n FROM lineorder "
-       "WHERE lo_quantity < 25\n");
-  const std::string after = read_line();
+  client.Send("QUERY SELECT count(lo_revenue) AS n FROM lineorder "
+              "WHERE lo_quantity < 25\n");
+  const std::string after = client.ReadLine();
   ASSERT_EQ(after.rfind("ROWS 1 1 1 ", 0), 0u) << after;
-  EXPECT_FALSE(read_line().empty());
-  EXPECT_EQ(read_line(), "DONE");
+  EXPECT_FALSE(client.ReadLine().empty());
+  EXPECT_EQ(client.ReadLine(), "DONE");
 
-  send("BYE\n");
-  serving.join();
-  ::close(client);
+  client.Send("BYE\n");
+  EXPECT_TRUE(client.AtEof());
+}
+
+TEST_F(ServerTest, LineProtocolRejectsBadDeadlines) {
+  Server server(ctx_.get());
+  LineProtocolServer front_door(&server);
+  LineProtocolClient client(&front_door);
+  EXPECT_EQ(client.ReadLine(), "HETDB 1 ready");
+
+  client.Send("DEADLINE 250\n");
+  EXPECT_EQ(client.ReadLine(), "OK deadline 250ms");
+  // Non-numeric, negative and beyond-int64 budgets are refused and the
+  // previous budget stays in force.
+  for (const char* bad : {"abc", "-5", "99999999999999999999", "12ms", ""}) {
+    client.Send(std::string("DEADLINE ") + bad + "\n");
+    const std::string reply = client.ReadLine();
+    EXPECT_EQ(reply.rfind("ERR InvalidArgument ", 0), 0u)
+        << bad << ": " << reply;
+    EXPECT_NE(reply.find("deadline stays 250ms"), std::string::npos)
+        << bad << ": " << reply;
+  }
+  client.Send("DEADLINE 0\n");
+  EXPECT_EQ(client.ReadLine(), "OK deadline 0ms");
+  client.Send("DEADLINE abc\n");
+  const std::string reply = client.ReadLine();
+  EXPECT_NE(reply.find("deadline stays 0ms"), std::string::npos) << reply;
+
+  // The connection still serves queries afterwards.
+  client.Send("QUERY SELECT count(lo_revenue) AS n FROM lineorder\n");
+  const std::string header = client.ReadLine();
+  ASSERT_EQ(header.rfind("ROWS 1 1 1 ", 0), 0u) << header;
+}
+
+TEST_F(ServerTest, LineProtocolClosesOnOverlongLine) {
+  Server server(ctx_.get());
+  LineProtocolServer front_door(&server);
+  LineProtocolClient client(&front_door);
+  EXPECT_EQ(client.ReadLine(), "HETDB 1 ready");
+
+  // One byte over the cap and no newline; MSG_NOSIGNAL keeps a closed peer
+  // from raising SIGPIPE in the test process.
+  std::thread writer([fd = client.fd()] {
+    const std::string line(LineProtocolServer::kMaxLineBytes + 1, 'x');
+    size_t sent = 0;
+    while (sent < line.size()) {
+      const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+  });
+  EXPECT_EQ(client.ReadLine(),
+            "ERR InvalidArgument line longer than " +
+                std::to_string(LineProtocolServer::kMaxLineBytes) + " bytes");
+  EXPECT_TRUE(client.AtEof());
+  writer.join();
 }
 
 TEST_F(ServerTest, LineProtocolOverTcp) {
