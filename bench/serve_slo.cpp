@@ -15,15 +15,20 @@
 //   ./build/bench/serve_slo --split-mix        # asymmetric per-tenant mixes
 //   ./build/bench/serve_slo --json out.json    # machine-readable artifact
 //
-// Shared flags (see bench_util.h): --quick --seed N --time-scale X
+// Shared flags (see bench_util.h): --quick --seed N --time-scale X --json FILE
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "server/traffic.h"
+#include "ssb/ssb_generator.h"
+#include "ssb/ssb_queries.h"
+#include "tpch/tpch_generator.h"
 #include "tpch/tpch_queries.h"
 
 using namespace hetdb;
@@ -40,26 +45,28 @@ struct ServeArgs {
   int sessions = 8;            // per tenant (closed loop)
   bool tpch = false;
   bool split_mix = false;
-  std::string json_out;
   std::vector<double> load_multipliers = {0.25, 1.0, 4.0};
 };
 
 ServeArgs ParseServeArgs(int argc, char** argv) {
+  using Kind = FlagSpec::Kind;
   ServeArgs args;
-  args.base = BenchArgs::Parse(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--mode" && i + 1 < argc) args.mode = argv[++i];
-    if (arg == "--duration" && i + 1 < argc) args.duration_s = std::atof(argv[++i]);
-    if (arg == "--rate" && i + 1 < argc) args.rate_qps = std::atof(argv[++i]);
-    if (arg == "--deadline-ms" && i + 1 < argc) {
-      args.deadline_ms = std::atof(argv[++i]);
-    }
-    if (arg == "--sessions" && i + 1 < argc) args.sessions = std::atoi(argv[++i]);
-    if (arg == "--tpch") args.tpch = true;
-    if (arg == "--split-mix") args.split_mix = true;
-    if (arg == "--json" && i + 1 < argc) args.json_out = argv[++i];
-  }
+  args.base = BenchArgs::Parse(
+      argc, argv,
+      {{"--mode", Kind::kText, "open|closed"},
+       {"--duration", Kind::kNumber, "S"},
+       {"--rate", Kind::kNumber, "QPS"},
+       {"--deadline-ms", Kind::kNumber, "MS"},
+       {"--sessions", Kind::kCount, "N", std::numeric_limits<int>::max()},
+       {"--tpch", Kind::kSwitch, ""},
+       {"--split-mix", Kind::kSwitch, ""}});
+  args.mode = args.base.Text("--mode", args.mode);
+  args.duration_s = args.base.Number("--duration", args.duration_s);
+  args.rate_qps = args.base.Number("--rate", args.rate_qps);
+  args.deadline_ms = args.base.Number("--deadline-ms", args.deadline_ms);
+  args.sessions = static_cast<int>(args.base.Count("--sessions", args.sessions));
+  args.tpch = args.base.Has("--tpch");
+  args.split_mix = args.base.Has("--split-mix");
   if (args.base.quick) {
     args.duration_s = std::min(args.duration_s, 3.0);
   }
@@ -87,7 +94,8 @@ int main(int argc, char** argv) {
   const ServeArgs args = ParseServeArgs(argc, argv);
   const double sf = args.base.quick ? 0.5 : 1.0;
 
-  Banner("serve_slo",
+  Report report;
+  report.Banner("serve_slo",
          std::string("SLO traffic bench: 2 tenants, ") + args.mode +
              "-loop, " + (args.tpch ? "TPC-H" : "SSB") + " SF " +
              std::to_string(sf) + ", deadline " +
@@ -117,8 +125,8 @@ int main(int argc, char** argv) {
   const SystemConfig config = PaperConfig(args.base.time_scale);
   const uint64_t seed = args.base.seed != 0 ? args.base.seed : 42;
 
-  PrintHeader({"load", "offered", "goodput[qps]", "shed_rate", "p50[ms]",
-               "p99[ms]", "fairness", "limit_end"});
+  report.Header({"load", "offered", "goodput[qps]", "shed_rate", "p50[ms]",
+                 "p99[ms]", "fairness", "limit_end"});
 
   std::string json = "{\n  \"bench\": \"serve_slo\",\n  \"mode\": \"" +
                      args.mode + "\",\n  \"points\": [\n";
@@ -179,15 +187,9 @@ int main(int argc, char** argv) {
       p50 = std::max(p50, tr.p50_ms);
       p99 = std::max(p99, tr.p99_ms);
     }
-    PrintCell(load);
-    PrintCell(result.offered);
-    PrintCell(result.goodput_qps);
-    PrintCell(result.shed_rate);
-    PrintCell(p50);
-    PrintCell(p99);
-    PrintCell(result.fairness);
-    PrintCell(static_cast<uint64_t>(server.admission().concurrency_limit()));
-    EndRow();
+    report.Row({load, result.offered, result.goodput_qps, result.shed_rate,
+                p50, p99, result.fairness,
+                static_cast<uint64_t>(server.admission().concurrency_limit())});
 
     if (!first_point) json += ",\n";
     first_point = false;
@@ -196,15 +198,7 @@ int main(int argc, char** argv) {
   }
   json += "\n  ]\n}\n";
 
-  if (!args.json_out.empty()) {
-    FILE* f = std::fopen(args.json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", args.json_out.c_str());
-  }
-  return 0;
+  const bool written =
+      args.base.json_out.empty() || WriteFile(args.base.json_out, json);
+  return written ? 0 : 1;
 }

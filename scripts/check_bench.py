@@ -21,12 +21,18 @@ how the host performs — and every sweep point must report its tenants.
 Usage:
   scripts/check_bench.py serve_slo.json --serve-slo [--shed-tolerance 0.0]
 
-With --scaleout the candidate is a fig18_scaleout JSON artifact and the gate
+The --scaleout, --availability and --fig17 gates read the JSON artifact of
+one paper_figures figure (paper_figures --figure NAME --json FILE): the
+figure name, its flags, and each printed table's title, columns and rows.
+
+With --scaleout the candidate is a fig18_scaleout artifact and the gate
 checks multi-device sanity: every sweep point must finish its queries with
 zero failures and zero device aborts (the modeled machine has no real
 faults), and the largest device count must beat the 1-device point by at
 least --min-speedup (modeled time scales with device parallelism, so the
-floor holds on any host; CI's 2-device smoke uses a relaxed floor).
+floor holds on any host; CI's 2-device smoke uses a relaxed floor). GPU
+Only places every operator on a device, so a point whose gpu_ops is zero
+ran no queries.
 
 Usage:
   scripts/check_bench.py scaleout.json --scaleout [--min-speedup 1.5]
@@ -34,11 +40,11 @@ Usage:
 With --availability the candidate is a fig26_availability artifact and the
 gate checks coordinated graceful degradation: every phase (baseline, each
 chaos episode, each recovery probe) must serve queries (no zero-goodput
-blackout), the device-loss phase must keep at least --goodput-floor of the
-baseline's goodput, nothing may be stranded (watchdog still watching, device
-heap still held) after the drain, and the system must report recovery — back
-at brownout L0 with a baseline-comparable p99 — within --recovery-ceiling
-seconds.
+blackout; goodput is completed queries per second), the device-loss phase
+must keep at least --goodput-floor of the baseline's goodput, nothing may be
+stranded (watchdog still watching, device heap still held) after the drain,
+and the system must report recovery — back at brownout L0 with a
+baseline-comparable p99 — within --recovery-ceiling seconds.
 
 Usage:
   scripts/check_bench.py fig26.json --availability
@@ -92,6 +98,22 @@ def family_speedup(medians, family):
     if scalar is None or parallel is None or parallel <= 0:
         return None
     return scalar / parallel
+
+
+def load_figure(path, figure):
+    """The tables of `figure`'s paper_figures artifact, each a list of
+    column -> value dicts; None (after an error message) if the file is
+    unreadable or holds another figure."""
+    try:
+        with open(path) as fp:
+            doc = json.load(fp)
+        if doc["figure"] != figure:
+            raise ValueError(f"holds {doc['figure']!r}, not {figure!r}")
+        return [[dict(zip(table["columns"], row)) for row in table["rows"]]
+                for table in doc["tables"]]
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        print(f"error: cannot read {path}: {error}", file=sys.stderr)
+        return None
 
 
 def fusion_speedup(medians):
@@ -151,13 +173,10 @@ def check_serve_slo(path, shed_tolerance):
 
 def check_scaleout(path, min_speedup):
     """Gate on a fig18_scaleout sweep artifact: clean runs, real scaling."""
-    try:
-        with open(path) as fp:
-            doc = json.load(fp)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {path}: {error}", file=sys.stderr)
+    tables = load_figure(path, "fig18_scaleout")
+    if tables is None:
         return 2
-    points = doc.get("points", [])
+    points = tables[0] if tables else []
     if not points:
         print(f"error: {path} holds no sweep points", file=sys.stderr)
         return 2
@@ -168,24 +187,23 @@ def check_scaleout(path, min_speedup):
     by_devices = {}
     for point in points:
         devices = point.get("devices")
-        result = point.get("result", {})
-        if devices is None or "wall_millis" not in result:
-            failures.append(f"point {devices}: missing devices/wall_millis")
+        if devices is None or "gpu_only[ms]" not in point:
+            failures.append(f"point {devices}: missing devices/gpu_only[ms]")
             continue
-        by_devices[devices] = result
-        print(f"{devices:<9}{result['wall_millis']:>10.1f}"
-              f"{result.get('speedup', 0.0):>9.2f}"
-              f"{result.get('gpu_aborts', 0):>8}"
-              f"{result.get('failed_queries', 0):>8}")
-        if result.get("failed_queries", 0) != 0:
+        by_devices[devices] = point
+        print(f"{devices:<9}{point['gpu_only[ms]']:>10.1f}"
+              f"{point.get('speedup', 0.0):>9.2f}"
+              f"{point.get('aborts', 0):>8}"
+              f"{point.get('failed', 0):>8}")
+        if point.get("failed", 0) != 0:
             failures.append(
-                f"{devices} device(s): {result['failed_queries']} "
+                f"{devices} device(s): {point['failed']} "
                 f"failed queries — scale-out must lose no queries")
-        if result.get("gpu_aborts", 0) != 0:
+        if point.get("aborts", 0) != 0:
             failures.append(
-                f"{devices} device(s): {result['gpu_aborts']} device "
+                f"{devices} device(s): {point['aborts']} device "
                 f"aborts — the sweep machine models no faults")
-        if result.get("queries_run", 0) == 0:
+        if point.get("gpu_ops", 0) == 0:
             failures.append(f"{devices} device(s): completed zero queries")
 
     if 1 not in by_devices or len(by_devices) < 2:
@@ -193,8 +211,8 @@ def check_scaleout(path, min_speedup):
                         "least one multi-device point")
     else:
         top = max(by_devices)
-        base_ms = by_devices[1]["wall_millis"]
-        top_ms = by_devices[top]["wall_millis"]
+        base_ms = by_devices[1]["gpu_only[ms]"]
+        top_ms = by_devices[top]["gpu_only[ms]"]
         speedup = base_ms / top_ms if top_ms > 0 else 0.0
         if speedup < min_speedup:
             failures.append(
@@ -215,48 +233,44 @@ def check_scaleout(path, min_speedup):
 
 def check_availability(path, goodput_floor, recovery_ceiling):
     """Gate on a fig26_availability artifact: degrade, survive, recover."""
-    try:
-        with open(path) as fp:
-            doc = json.load(fp)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {path}: {error}", file=sys.stderr)
+    tables = load_figure(path, "fig26_availability")
+    if tables is None:
         return 2
-    phases = doc.get("phases", [])
-    summary = doc.get("summary", {})
-    if not phases or not summary:
+    if len(tables) != 2 or not tables[0] or len(tables[1]) != 1:
         print(f"error: {path} holds no phases/summary", file=sys.stderr)
         return 2
+    phases, (summary,) = tables
 
     failures = []
     print(f"{'phase':<16}{'offered':>9}{'goodput':>9}{'p99_ms':>9}"
           f"{'level':>7}")
     baseline = None
     for phase in phases:
-        name = phase.get("name", "?")
-        goodput = phase.get("goodput_qps", 0.0)
+        name = phase.get("phase", "?")
+        goodput = phase.get("goodput[qps]", 0.0)
         print(f"{name:<16}{phase.get('offered', 0):>9}"
-              f"{goodput:>9.2f}{phase.get('p99_ms', 0.0):>9.1f}"
-              f"{phase.get('brownout_level_end', -1):>7}")
+              f"{goodput:>9.2f}{phase.get('p99[ms]', 0.0):>9.1f}"
+              f"{phase.get('brownout', '?'):>7}")
         if baseline is None:
             baseline = phase
-        if phase.get("completed", 0) == 0 or goodput <= 0:
+        if goodput <= 0:
             failures.append(
                 f"phase {name}: zero goodput — graceful degradation must "
                 f"never black out the service")
 
-    base_goodput = baseline.get("goodput_qps", 0.0) if baseline else 0.0
-    loss = next((p for p in phases if p.get("name") == "device_loss"), None)
+    base_goodput = baseline.get("goodput[qps]", 0.0) if baseline else 0.0
+    loss = next((p for p in phases if p.get("phase") == "device_loss"), None)
     if loss is None:
         failures.append("no device_loss phase in the artifact")
     elif base_goodput > 0:
         floor = goodput_floor * base_goodput
-        if loss.get("goodput_qps", 0.0) < floor:
+        if loss.get("goodput[qps]", 0.0) < floor:
             failures.append(
-                f"device_loss goodput {loss.get('goodput_qps', 0.0):.2f} qps "
+                f"device_loss goodput {loss.get('goodput[qps]', 0.0):.2f} qps "
                 f"fell below the floor {floor:.2f} "
                 f"({goodput_floor:.0%} of baseline {base_goodput:.2f})")
 
-    if not summary.get("recovered", False):
+    if summary.get("recovered") != "yes":
         failures.append("system did not report recovery (brownout back at "
                         "L0 with baseline-comparable p99)")
     recovery_s = summary.get("recovery_time_s", float("inf"))
@@ -264,25 +278,24 @@ def check_availability(path, goodput_floor, recovery_ceiling):
         failures.append(
             f"recovery took {recovery_s:.1f}s, above the "
             f"{recovery_ceiling:.1f}s ceiling")
-    if summary.get("final_brownout_level", -1) != 0:
+    if summary.get("final_level") != "L0":
         failures.append(
             f"final brownout level is "
-            f"L{summary.get('final_brownout_level')} — must end at L0")
-    if summary.get("stranded_queries", 1) != 0:
+            f"{summary.get('final_level')} — must end at L0")
+    if summary.get("stranded", 1) != 0:
         failures.append(
-            f"{summary.get('stranded_queries')} queries still under "
+            f"{summary.get('stranded')} queries still under "
             f"watchdog watch after the drain — stranded work")
-    if summary.get("heap_used_after_drain", 1) != 0:
+    if summary.get("heap_used", 1) != 0:
         failures.append(
-            f"{summary.get('heap_used_after_drain')} bytes of device heap "
+            f"{summary.get('heap_used')} bytes of device heap "
             f"still held after the drain — leaked device resources")
 
     print(f"\nrecovered={summary.get('recovered')} "
           f"recovery_time_s={summary.get('recovery_time_s')} "
-          f"stranded={summary.get('stranded_queries')} "
-          f"hedges={summary.get('hedge_attempts')}/"
-          f"{summary.get('hedge_successes')} "
-          f"watchdog_fires={summary.get('watchdog_fires')}")
+          f"stranded={summary.get('stranded')} "
+          f"hedges={phases[-1].get('hedges')} "
+          f"watchdog_fires={phases[-1].get('wd_fires')}")
 
     if failures:
         print("\nREGRESSION:", file=sys.stderr)
@@ -295,13 +308,10 @@ def check_availability(path, goodput_floor, recovery_ceiling):
 
 def check_fig17(path):
     """Gate on a fig17 artifact: GPU Only slower than CPU Only everywhere."""
-    try:
-        with open(path) as fp:
-            doc = json.load(fp)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {path}: {error}", file=sys.stderr)
+    tables = load_figure(path, "fig17_query_times_sf30")
+    if tables is None:
         return 2
-    queries = doc.get("queries", [])
+    queries = tables[0] if tables else []
     if not queries:
         print(f"error: {path} holds no queries", file=sys.stderr)
         return 2
@@ -310,9 +320,8 @@ def check_fig17(path):
     print(f"{'query':<8}{'cpu_ms':>10}{'gpu_ms':>10}{'gpu/cpu':>9}")
     for entry in queries:
         name = entry.get("query", "?")
-        latency = entry.get("latency_ms", {})
-        cpu = latency.get("CPU Only", -1.0)
-        gpu = latency.get("GPU Only", -1.0)
+        cpu = entry.get("CPU Only[ms]", -1.0)
+        gpu = entry.get("GPU Only[ms]", -1.0)
         if cpu <= 0 or gpu <= 0:
             failures.append(f"{name}: missing CPU Only/GPU Only latency")
             continue
@@ -345,13 +354,14 @@ def main():
     parser.add_argument("--serve-slo", action="store_true",
                         help="treat candidate as a serve_slo sweep artifact")
     parser.add_argument("--scaleout", action="store_true",
-                        help="treat candidate as a fig18_scaleout artifact")
+                        help="treat candidate as a paper_figures "
+                             "fig18_scaleout artifact")
     parser.add_argument("--availability", action="store_true",
-                        help="treat candidate as a fig26_availability "
-                             "artifact")
+                        help="treat candidate as a paper_figures "
+                             "fig26_availability artifact")
     parser.add_argument("--fig17", action="store_true",
-                        help="treat candidate as a fig17_query_times_sf30 "
-                             "artifact")
+                        help="treat candidate as a paper_figures "
+                             "fig17_query_times_sf30 artifact")
     parser.add_argument("--goodput-floor", type=float, default=0.1,
                         help="device-loss goodput floor as a fraction of "
                              "baseline goodput for --availability "

@@ -170,16 +170,6 @@ Result<TablePtr> ChoppingExecutor::ExecuteQuery(PlanNodePtr root,
   return Submit(std::move(root), std::move(placer), std::move(controls)).get();
 }
 
-size_t ChoppingExecutor::ReadyQueueDepth(ProcessorKind kind) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (kind == ProcessorKind::kCpu) return ready_queues_[0].size();
-  size_t depth = 0;
-  for (size_t q = 1; q < ready_queues_.size(); ++q) {
-    depth += ready_queues_[q].size();
-  }
-  return depth;
-}
-
 Status ChoppingExecutor::CheckRunnable(const QueryExecPtr& query) {
   if (!query->failed.load(std::memory_order_acquire)) {
     if (query->controls.cancel.cancelled()) {

@@ -88,11 +88,6 @@ class ChoppingExecutor {
   int cpu_workers() const { return cpu_workers_; }
   int gpu_workers() const { return gpu_workers_; }
 
-  /// Operators currently waiting in `kind`'s ready queue (not yet picked up
-  /// by a worker). A load signal for admission governors: a deep device
-  /// queue with a small pool means new work will wait, not run.
-  size_t ReadyQueueDepth(ProcessorKind kind) const;
-
  private:
   struct QueryExec;
 
@@ -164,7 +159,7 @@ class ChoppingExecutor {
   const int cpu_workers_;
   const int gpu_workers_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable ready_cv_;
   std::vector<std::deque<std::pair<QueryExecPtr, OpTask*>>> ready_queues_;
   bool shutting_down_ = false;

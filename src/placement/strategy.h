@@ -30,13 +30,6 @@ enum class Strategy {
 
 const char* StrategyToString(Strategy strategy);
 
-/// True for strategies that fix placement before execution.
-bool IsCompileTimeStrategy(Strategy strategy);
-
-/// True for strategies that bound device-operator concurrency by a worker
-/// pool (chopping variants).
-bool LimitsConcurrency(Strategy strategy);
-
 /// All strategies, in the paper's usual presentation order.
 inline constexpr Strategy kAllStrategies[] = {
     Strategy::kCpuOnly,      Strategy::kGpuOnly,

@@ -28,26 +28,6 @@ const char* StrategyToString(Strategy strategy) {
   return "unknown";
 }
 
-bool IsCompileTimeStrategy(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kCpuOnly:
-    case Strategy::kGpuOnly:
-    case Strategy::kCriticalPath:
-    case Strategy::kDataDriven:
-      return true;
-    case Strategy::kRunTime:
-    case Strategy::kChopping:
-    case Strategy::kDataDrivenChopping:
-      return false;
-  }
-  return true;
-}
-
-bool LimitsConcurrency(Strategy strategy) {
-  return strategy == Strategy::kChopping ||
-         strategy == Strategy::kDataDrivenChopping;
-}
-
 StrategyRunner::StrategyRunner(EngineContext* ctx, Strategy strategy)
     : ctx_(ctx), strategy_(strategy) {
   HETDB_CHECK(ctx_ != nullptr);

@@ -40,10 +40,6 @@ class StrategyRunner {
   /// checkpoints).
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryControls controls);
 
-  /// The chopping executor behind this runner, or nullptr for compile-time
-  /// strategies. Exposes queue-depth load signals to admission governors.
-  const ChoppingExecutor* chopping_executor() const { return chopping_.get(); }
-
   Strategy strategy() const { return strategy_; }
   EngineContext& ctx() { return *ctx_; }
 

@@ -152,14 +152,6 @@ TEST_F(PlacementTest, StrategyRunnerExecutesAllStrategies) {
 }
 
 TEST_F(PlacementTest, StrategyMetadataIsConsistent) {
-  EXPECT_TRUE(IsCompileTimeStrategy(Strategy::kCpuOnly));
-  EXPECT_TRUE(IsCompileTimeStrategy(Strategy::kDataDriven));
-  EXPECT_FALSE(IsCompileTimeStrategy(Strategy::kChopping));
-  EXPECT_FALSE(IsCompileTimeStrategy(Strategy::kRunTime));
-  EXPECT_TRUE(LimitsConcurrency(Strategy::kChopping));
-  EXPECT_TRUE(LimitsConcurrency(Strategy::kDataDrivenChopping));
-  EXPECT_FALSE(LimitsConcurrency(Strategy::kRunTime));
-  EXPECT_FALSE(LimitsConcurrency(Strategy::kGpuOnly));
   for (Strategy strategy : kAllStrategies) {
     EXPECT_STRNE(StrategyToString(strategy), "unknown");
   }
