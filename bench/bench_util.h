@@ -90,8 +90,8 @@ struct FlagSpec {
 ///                    closed loop)
 ///   --per-query      print the per-query resource breakdown (queue-wait vs
 ///                    execute time, retry/fallback counts) of every run
-///   --fusion on|off  enable/disable operator fusion (DESIGN.md §11) for the
-///                    whole process — the fusion-ablation runs flip this
+///   --fusion on|off  enable/disable operator fusion (DESIGN.md §11) in every
+///                    engine context PaperConfig() builds
 ///   --trace-out FILE record spans and export a Perfetto-loadable Chrome
 ///                    trace-event JSON file at exit
 ///   --json FILE      write the program's JSON artifact
@@ -150,8 +150,8 @@ struct BenchArgs {
     return args;
   }
 
-  /// TryParse, then applies --trace-out and --fusion to the process. On a
-  /// bad command line prints the error and a usage line and exits 2.
+  /// TryParse, then applies --trace-out to the process. On a bad command
+  /// line prints the error and a usage line and exits 2.
   static BenchArgs Parse(int argc, char** argv,
                          const std::vector<FlagSpec>& extra = {}) {
     Result<BenchArgs> parsed = TryParse(argc, argv, extra);
@@ -160,7 +160,6 @@ struct BenchArgs {
     }
     BenchArgs args = std::move(parsed).value();
     if (!args.trace_out.empty()) EnableTraceExportAtExit(args.trace_out);
-    GlobalKernelConfig().fusion = args.fusion;
     return args;
   }
 
@@ -277,8 +276,9 @@ struct BenchArgs {
 /// The paper's machine of the evaluation (Section 6.1), at the
 /// 1/100 data scale of DESIGN.md: the 4 GB GTX 770 becomes a 40 MB device
 /// (24 MB data cache + 16 MB heap), PCIe and kernel throughputs use the
-/// calibration constants of common/config.h.
-inline SystemConfig PaperConfig(double time_scale = 1.0) {
+/// calibration constants of common/config.h. `args` gives --time-scale and
+/// --fusion.
+inline SystemConfig PaperConfig(const BenchArgs& args) {
   SystemConfig config;
   config.device_memory_bytes = 40ull << 20;
   config.device_cache_bytes = 24ull << 20;
@@ -288,7 +288,8 @@ inline SystemConfig PaperConfig(double time_scale = 1.0) {
   // every strategy, and serializes on small machines) stays a minor additive
   // term rather than masking the modeled differences. A pure scale factor on
   // all durations changes no ratio between strategies.
-  config.time_scale = 10.0 * time_scale;
+  config.time_scale = 10.0 * args.time_scale;
+  config.fusion = args.fusion;
   return config;
 }
 

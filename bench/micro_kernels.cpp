@@ -40,40 +40,34 @@ SystemConfig NoSimConfig() {
   return config;
 }
 
-/// Applies a kernel backend + worker count for one benchmark run and
-/// restores the previous configuration afterwards. The DopBudget capacity is
-/// raised to the requested count so the arena actually runs that wide.
-class BackendGuard {
+/// Sets the DopBudget capacity, and so the kernels' worker count, for one
+/// benchmark run and restores it afterwards.
+class DopGuard {
  public:
-  BackendGuard(KernelBackend backend, int threads)
-      : saved_(GlobalKernelConfig()),
-        saved_capacity_(DopBudget::Global().capacity()) {
-    GlobalKernelConfig().backend = backend;
-    GlobalKernelConfig().max_dop = threads;
+  explicit DopGuard(int threads)
+      : saved_capacity_(DopBudget::Global().capacity()) {
     DopBudget::Global().SetCapacity(threads);
   }
-  ~BackendGuard() {
-    GlobalKernelConfig() = saved_;
-    DopBudget::Global().SetCapacity(saved_capacity_);
-  }
+  ~DopGuard() { DopBudget::Global().SetCapacity(saved_capacity_); }
 
  private:
-  KernelConfig saved_;
   int saved_capacity_;
 };
 
-// The Scalar/Parallel pairs below measure the same operation on the two
-// kernel backends; scripts/bench_kernels.sh records both and reports the
-// speedup Parallel/threads:8 achieves over Scalar (BENCH_kernels.json).
+// The Scalar/Parallel pairs below measure the same operation with the
+// reference kernel at DoP 1 and with the morsel-parallel kernel;
+// scripts/bench_kernels.sh records both and reports the speedup
+// Parallel/threads:8 achieves over Scalar (BENCH_kernels.json).
 
-void RunFilterBench(benchmark::State& state) {
+void RunFilterBench(benchmark::State& state,
+                    decltype(&EvaluateFilter) kernel) {
   DatabasePtr db = BenchDb();
   TablePtr lineorder = db->GetTable("lineorder").value();
   const ConjunctiveFilter filter = ConjunctiveFilter::And(
       {Predicate::Between("lo_discount", int64_t{4}, int64_t{6}),
        Predicate::Between("lo_quantity", int64_t{26}, int64_t{35})});
   for (auto _ : state) {
-    auto rows = EvaluateFilter(*lineorder, filter);
+    auto rows = kernel(*lineorder, filter);
     benchmark::DoNotOptimize(rows);
   }
   state.SetBytesProcessed(state.iterations() * 2 * 4 *
@@ -81,19 +75,18 @@ void RunFilterBench(benchmark::State& state) {
 }
 
 void BM_FilterScalar(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kScalar, 1);
-  RunFilterBench(state);
+  DopGuard guard(1);
+  RunFilterBench(state, EvaluateFilterReference);
 }
 BENCHMARK(BM_FilterScalar);
 
 void BM_FilterParallel(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kMorselParallel,
-                     static_cast<int>(state.range(0)));
-  RunFilterBench(state);
+  DopGuard guard(static_cast<int>(state.range(0)));
+  RunFilterBench(state, EvaluateFilter);
 }
 BENCHMARK(BM_FilterParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void RunHashJoinBench(benchmark::State& state) {
+void RunHashJoinBench(benchmark::State& state, decltype(&HashJoin) kernel) {
   DatabasePtr db = BenchDb();
   TablePtr lineorder = db->GetTable("lineorder").value();
   TablePtr supplier = db->GetTable("supplier").value();
@@ -101,8 +94,8 @@ void RunHashJoinBench(benchmark::State& state) {
   spec.build_columns = {"s_nation"};
   spec.probe_columns = {"lo_revenue"};
   for (auto _ : state) {
-    auto joined = HashJoin(*supplier, "s_suppkey", *lineorder, "lo_suppkey",
-                           spec, "j");
+    auto joined =
+        kernel(*supplier, "s_suppkey", *lineorder, "lo_suppkey", spec, "j");
     benchmark::DoNotOptimize(joined);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -110,24 +103,24 @@ void RunHashJoinBench(benchmark::State& state) {
 }
 
 void BM_HashJoinScalar(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kScalar, 1);
-  RunHashJoinBench(state);
+  DopGuard guard(1);
+  RunHashJoinBench(state, HashJoinReference);
 }
 BENCHMARK(BM_HashJoinScalar);
 
 void BM_HashJoinParallel(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kMorselParallel,
-                     static_cast<int>(state.range(0)));
-  RunHashJoinBench(state);
+  DopGuard guard(static_cast<int>(state.range(0)));
+  RunHashJoinBench(state, HashJoin);
 }
 BENCHMARK(BM_HashJoinParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void RunAggregateBench(benchmark::State& state) {
+void RunAggregateBench(benchmark::State& state,
+                       decltype(&Aggregate) kernel) {
   DatabasePtr db = BenchDb();
   TablePtr lineorder = db->GetTable("lineorder").value();
   for (auto _ : state) {
-    auto result = Aggregate(*lineorder, {"lo_discount"},
-                            {{AggregateFn::kSum, "lo_revenue", "rev"}}, "a");
+    auto result = kernel(*lineorder, {"lo_discount"},
+                         {{AggregateFn::kSum, "lo_revenue", "rev"}}, "a");
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -135,15 +128,14 @@ void RunAggregateBench(benchmark::State& state) {
 }
 
 void BM_AggregateScalar(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kScalar, 1);
-  RunAggregateBench(state);
+  DopGuard guard(1);
+  RunAggregateBench(state, AggregateReference);
 }
 BENCHMARK(BM_AggregateScalar);
 
 void BM_AggregateParallel(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kMorselParallel,
-                     static_cast<int>(state.range(0)));
-  RunAggregateBench(state);
+  DopGuard guard(static_cast<int>(state.range(0)));
+  RunAggregateBench(state, Aggregate);
 }
 BENCHMARK(BM_AggregateParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -190,7 +182,6 @@ TablePtr ExecutePlanTree(const PlanNodePtr& node) {
 
 void RunPipelineBench(benchmark::State& state, bool fusion) {
   DatabasePtr db = BenchDb();
-  GlobalKernelConfig().fusion = fusion;
   PlanNodePtr plan = PipelinePlan(db);
   if (fusion) plan = FusePipelines(plan);
   const size_t rows = db->GetTable("lineorder").value()->num_rows();
@@ -202,15 +193,13 @@ void RunPipelineBench(benchmark::State& state, bool fusion) {
 }
 
 void BM_PipelineUnfused(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kMorselParallel,
-                     static_cast<int>(state.range(0)));
+  DopGuard guard(static_cast<int>(state.range(0)));
   RunPipelineBench(state, /*fusion=*/false);
 }
 BENCHMARK(BM_PipelineUnfused)->Arg(1)->Arg(8);
 
 void BM_PipelineFused(benchmark::State& state) {
-  BackendGuard guard(KernelBackend::kMorselParallel,
-                     static_cast<int>(state.range(0)));
+  DopGuard guard(static_cast<int>(state.range(0)));
   RunPipelineBench(state, /*fusion=*/true);
 }
 BENCHMARK(BM_PipelineFused)->Arg(1)->Arg(8);

@@ -253,7 +253,7 @@ void WorkloadTimeVsUsers(Figure& fig, Dataset dataset, double sf, int reps) {
   const DatabasePtr db = Generate(fig.args, dataset, sf);
   WorkloadRunOptions options;
   options.repetitions = reps;
-  UserSweep(fig, PaperConfig(fig.args.time_scale), db, Queries(dataset),
+  UserSweep(fig, PaperConfig(fig.args), db, Queries(dataset),
             fig.args.quick ? std::vector<int>{1, 8}
                            : std::vector<int>{1, 4, 8, 16, 20},
             options, kSection62Strategies, {Metric::kWallMillis});
@@ -292,7 +292,7 @@ void BufferSweep(Figure& fig, const SerialSelection& b1,
   options.repetitions = b1.repetitions;
   Sweep(fig, "buffer[MiB]", Steps(9), SerialSelectionQueries(), series,
         columns, [&](int step) {
-          SystemConfig config = PaperConfig(fig.args.time_scale);
+          SystemConfig config = PaperConfig(fig.args);
           config.device_cache_bytes = b1.working_set * step / 8;
           config.device_memory_bytes =
               config.device_cache_bytes + (16ull << 20);
@@ -311,12 +311,12 @@ int B2Queries(const BenchArgs& args) {
 /// Machine for the Appendix B.2 parallel selection workload: the cache holds
 /// the two filter columns (no thrashing), and the heap fits roughly seven
 /// concurrent selection operators.
-SystemConfig ContentionConfig(const DatabasePtr& db, double time_scale) {
+SystemConfig ContentionConfig(const DatabasePtr& db, const BenchArgs& args) {
   const size_t column_bytes =
       db->GetColumnByQualifiedName("lineorder.lo_discount")
           .value()
           ->data_bytes();
-  SystemConfig config = PaperConfig(time_scale);
+  SystemConfig config = PaperConfig(args);
   config.device_cache_bytes = 3 * column_bytes;
   // The paper's contention threshold: the heap fits n = M / (3.25 |C|) ~ 7
   // concurrent selection operators (Section 3.4). Our selection's peak
@@ -339,7 +339,7 @@ void ContentionSweep(Figure& fig, const std::vector<Strategy>& strategies,
       args.quick  ? std::vector<int>{1, 4, 8, 16}
       : args.full ? std::vector<int>{1, 2, 4, 6, 8, 10, 12, 16, 20}
                   : std::vector<int>{1, 2, 4, 8, 12, 16, 20};
-  UserSweep(fig, ContentionConfig(db, args.time_scale), db,
+  UserSweep(fig, ContentionConfig(db, args), db,
             ParallelSelectionQueries(), users, options, strategies, {metric});
 }
 
@@ -351,7 +351,7 @@ void ScaleSweep(Figure& fig, Dataset dataset, const std::vector<double>& sfs,
                 const std::vector<Series>& series,
                 const std::vector<Column>& columns) {
   Sweep(fig, "sf", sfs, Queries(dataset), series, columns, [&](double sf) {
-    return Row{static_cast<uint64_t>(sf), PaperConfig(fig.args.time_scale),
+    return Row{static_cast<uint64_t>(sf), PaperConfig(fig.args),
                Generate(fig.args, dataset, sf), WorkloadRunOptions{}};
   });
 }
@@ -393,7 +393,7 @@ void QueryTable(Figure& fig, const DatabasePtr& db,
     WorkloadRunOptions run_options = options;
     run_options.num_users = run.users;
     run_options.admission_limit = run.admission_limit;
-    results.push_back(RunPoint(fig, PaperConfig(fig.args.time_scale), db,
+    results.push_back(RunPoint(fig, PaperConfig(fig.args), db,
                                run.strategy, workload, run_options)
                           .run);
     header.push_back(run.label + "[ms]");
@@ -457,7 +457,7 @@ void Fig01Motivation(Figure& fig) {
                                     ": CPU vs GPU (cold cache) vs GPU (hot "
                                     "cache)");
   const DatabasePtr db = Generate(fig.args, Dataset::kSsb, sf);
-  const SystemConfig config = PaperConfig(fig.args.time_scale);
+  const SystemConfig config = PaperConfig(fig.args);
   const NamedQuery query = SsbQueryByName("Q3.3").value();
 
   fig.report.Header({"execution", "time[ms]", "h2d[ms]"});
@@ -679,12 +679,12 @@ void FusionAblation(Figure& fig) {
   fig.report.Header({"query", "unfused[KiB]", "fused[KiB]", "ratio"},
                     "Fusion ablation: per-query device-heap high-water "
                     "(GPU-Only, " + Sf(sf) + ")");
-  const bool saved_fusion = GlobalKernelConfig().fusion;
   for (const NamedQuery& query : SsbQueries()) {
     int64_t high_water[2] = {0, 0};
     for (int pass = 0; pass < 2; ++pass) {
-      GlobalKernelConfig().fusion = pass == 1;
-      EngineContext ctx(PaperConfig(fig.args.time_scale), db);
+      SystemConfig config = PaperConfig(fig.args);
+      config.fusion = pass == 1;
+      EngineContext ctx(config, db);
       StrategyRunner runner(&ctx, Strategy::kGpuOnly);
       runner.RefreshDataPlacement();
       Result<PlanNodePtr> plan = query.builder(*db);
@@ -694,7 +694,6 @@ void FusionAblation(Figure& fig) {
       HETDB_CHECK(result.ok());
       high_water[pass] = stats->heap_high_water();
     }
-    GlobalKernelConfig().fusion = saved_fusion;
     fig.report.Row({query.name, static_cast<double>(high_water[0]) / 1024.0,
                     static_cast<double>(high_water[1]) / 1024.0,
                     high_water[1] > 0 ? static_cast<double>(high_water[0]) /
@@ -726,7 +725,7 @@ void Fig16Footprint(Figure& fig) {
                                SsbQueries())),
          mib(WorkloadFootprint(Generate(fig.args, Dataset::kTpch, sf),
                                TpchQueries())),
-         mib(PaperConfig().device_cache_bytes)});
+         mib(PaperConfig(fig.args).device_cache_bytes)});
   }
 }
 
@@ -792,7 +791,7 @@ void Fig18Scaleout(Figure& fig) {
                      "gpu_ops", "h2d[MiB]"});
   double base_millis = 0;
   for (const int device_count : devices) {
-    SystemConfig config = PaperConfig(args.time_scale);
+    SystemConfig config = PaperConfig(args);
     config.device_count = device_count;
     WorkloadRunOptions options;
     options.repetitions = args.quick ? 2 : 4;
@@ -850,7 +849,7 @@ void Fig19TransferUsers(Figure& fig) {
                       std::string(ssb ? "SSB" : "TPC-H") +
                           " host-to-device transfer time vs users (" + Sf(sf) +
                           ")");
-    UserSweep(fig, PaperConfig(fig.args.time_scale),
+    UserSweep(fig, PaperConfig(fig.args),
               Generate(fig.args, dataset, sf), Queries(dataset),
               fig.args.quick ? std::vector<int>{1, 8}
                              : std::vector<int>{1, 8, 16, 20},
@@ -873,7 +872,7 @@ void Fig20WastedTime(Figure& fig) {
                     "users (" + Sf(sf) + ")");
   WorkloadRunOptions options;
   options.repetitions = fig.args.quick ? 1 : 2;
-  UserSweep(fig, PaperConfig(fig.args.time_scale),
+  UserSweep(fig, PaperConfig(fig.args),
             Generate(fig.args, Dataset::kSsb, sf), SsbQueries(),
             fig.args.quick ? std::vector<int>{1, 8}
                            : std::vector<int>{1, 8, 16, 20},
@@ -949,7 +948,7 @@ void Fig24LruLfu(Figure& fig) {
         {{"lru[ms]", 0, Metric::kWallMillis},
          {"lfu[ms]", 1, Metric::kWallMillis}},
         [&](int step) {
-          SystemConfig config = PaperConfig(fig.args.time_scale);
+          SystemConfig config = PaperConfig(fig.args);
           config.device_cache_bytes =
               static_cast<size_t>(config.device_memory_bytes) * step / 7;
           if (config.device_cache_bytes >= config.device_memory_bytes) {
@@ -1026,7 +1025,7 @@ void Fig26Availability(Figure& fig) {
       Generate(args, Dataset::kSsb, args.quick ? 0.2 : 0.5);
   const std::vector<NamedQuery> queries = SsbQueries();
 
-  SystemConfig config = PaperConfig(args.time_scale);
+  SystemConfig config = PaperConfig(args);
   config.device_count = 2;
   EngineContext ctx(config, db);
   ServerOptions server_options;
@@ -1177,7 +1176,7 @@ void AblCalibration(Figure& fig) {
            [](SystemConfig& c) { c.device_cache_bytes = 6ull << 20; }},
       };
   for (const auto& [label, adjust] : variants) {
-    SystemConfig config = PaperConfig(fig.args.time_scale);
+    SystemConfig config = PaperConfig(fig.args);
     adjust(config);
     auto millis = [&](Strategy strategy) {
       return RunPoint(fig, config, db, strategy, SsbQueries(), {})
@@ -1233,7 +1232,7 @@ void AblPoolSize(Figure& fig) {
          {"wasted[ms]", 0, Metric::kWastedMillis}},
         [&](int gpu_workers) {
           Row row{static_cast<uint64_t>(gpu_workers),
-                  ContentionConfig(db, fig.args.time_scale), db, options};
+                  ContentionConfig(db, fig.args), db, options};
           row.config.gpu_workers = gpu_workers;
           return row;
         });

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     std::tie(mix_a, mix_b) = SplitMix(std::move(mix_a));
   }
 
-  const SystemConfig config = PaperConfig(args.base.time_scale);
+  const SystemConfig config = PaperConfig(args.base);
   const uint64_t seed = args.base.seed != 0 ? args.base.seed : 42;
 
   report.Header({"load", "offered", "goodput[qps]", "shed_rate", "p50[ms]",

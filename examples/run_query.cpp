@@ -9,9 +9,10 @@
 //   run_query [--query Q2.1] [--fusion=on|off] [--sf 0.2]
 //             [--strategy cpu|gpu|chopping]
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -74,33 +75,46 @@ uint64_t ChecksumTable(const Table& table) {
   return hash.value();
 }
 
+/// Prints `message` and the usage line; returns the exit code 2.
+int Usage(const std::string& message) {
+  std::fprintf(stderr,
+               "error: %s\nusage: run_query [--query Q2.1] [--fusion=on|off] "
+               "[--sf 0.2] [--strategy cpu|gpu|chopping]\n",
+               message.c_str());
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   std::string query_name = "Q2.1";
   std::string strategy_name = "gpu";
+  std::string fusion = "on";
   double scale_factor = 0.2;
-  bool fusion = true;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    if (arg.rfind("--query=", 0) == 0) {
-      query_name = value("--query=");
-    } else if (arg == "--query" && i + 1 < argc) {
-      query_name = argv[++i];
-    } else if (arg.rfind("--fusion=", 0) == 0) {
-      fusion = std::string(value("--fusion=")) == "on";
-    } else if (arg.rfind("--sf=", 0) == 0) {
-      scale_factor = std::atof(value("--sf="));
-    } else if (arg == "--sf" && i + 1 < argc) {
-      scale_factor = std::atof(argv[++i]);
-    } else if (arg.rfind("--strategy=", 0) == 0) {
-      strategy_name = value("--strategy=");
-    } else if (arg == "--strategy" && i + 1 < argc) {
-      strategy_name = argv[++i];
+    // Each flag takes a value, after '=' or as the next argument.
+    std::string flag = argv[i];
+    std::string value;
+    if (const size_t equals = flag.find('='); equals != std::string::npos) {
+      value = flag.substr(equals + 1);
+      flag.resize(equals);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (flag == "--query") {
+      query_name = value;
+    } else if (flag == "--strategy") {
+      strategy_name = value;
+    } else if (flag == "--fusion" && (value == "on" || value == "off")) {
+      fusion = value;
+    } else if (flag == "--sf") {
+      const char* end = value.data() + value.size();
+      const auto [ptr, error] =
+          std::from_chars(value.data(), end, scale_factor);
+      if (error != std::errc() || ptr != end || !std::isfinite(scale_factor) ||
+          !(scale_factor > 0)) {
+        return Usage("--sf '" + value + "' is not a positive number");
+      }
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
+      return Usage("bad argument " + flag + " '" + value + "'");
     }
   }
 
@@ -112,11 +126,8 @@ int Run(int argc, char** argv) {
   } else if (strategy_name == "chopping") {
     strategy = Strategy::kDataDrivenChopping;
   } else {
-    std::fprintf(stderr, "unknown strategy: %s\n", strategy_name.c_str());
-    return 2;
+    return Usage("unknown strategy '" + strategy_name + "'");
   }
-
-  GlobalKernelConfig().fusion = fusion;
 
   SsbGeneratorOptions options;
   options.scale_factor = scale_factor;
@@ -124,6 +135,7 @@ int Run(int argc, char** argv) {
 
   SystemConfig config;
   config.simulate_time = false;
+  config.fusion = fusion == "on";
   EngineContext ctx(config, db);
   StrategyRunner runner(&ctx, strategy);
   runner.RefreshDataPlacement();
@@ -146,8 +158,7 @@ int Run(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "# %s strategy=%s fusion=%s heap_high_water=%lld\n",
-               query_name.c_str(), strategy_name.c_str(),
-               fusion ? "on" : "off",
+               query_name.c_str(), strategy_name.c_str(), fusion.c_str(),
                static_cast<long long>(stats->heap_high_water()));
   // stdout: stable across fusion on/off — the CI smoke diffs it.
   std::printf("%s rows=%zu cols=%zu checksum=%016llx\n", query_name.c_str(),

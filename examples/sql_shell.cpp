@@ -5,12 +5,14 @@
 //
 //   ./build/examples/sql_shell            # interactive
 //   echo "SELECT ..." | ./build/examples/sql_shell
+//   ./build/examples/sql_shell --devices 2 --fusion=off
 //
 // Meta commands: \tables, \cache, \devices, \server, \deadline MS,
 //                \trace SELECT ..., \flight [path], \quit
 // Statements: SELECT ..., EXPLAIN SELECT ..., EXPLAIN ANALYZE SELECT ...
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -20,7 +22,7 @@
 
 #include "common/config.h"
 #include "common/stopwatch.h"
-#include "engine/pipeline_builder.h"
+#include "server/line_protocol.h"
 #include "server/server.h"
 #include "sql/explain.h"
 #include "sql/parser.h"
@@ -145,24 +147,57 @@ void PrintSpanTree(const std::vector<TraceEvent>& events) {
   }
 }
 
+/// Prints `message` and the usage line, then exits 2.
+[[noreturn]] void Usage(const std::string& message) {
+  std::fprintf(stderr,
+               "error: %s\nusage: sql_shell [--devices N] [--fusion=on|off]\n",
+               message.c_str());
+  std::exit(2);
+}
+
+/// Trims leading blanks (the argument of a meta command).
+std::string Argument(const std::string& text) {
+  const size_t start = text.find_first_not_of(" \t");
+  return start == std::string::npos ? std::string() : text.substr(start);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("HetDB SQL shell — generating SSB database (SF 1)...\n");
-  SsbGeneratorOptions gen;
-  gen.scale_factor = 1.0;
-  DatabasePtr db = GenerateSsbDatabase(gen);
-
   SystemConfig config;
   config.device_memory_bytes = 16ull << 20;
   config.device_cache_bytes = 10ull << 20;
   config.time_scale = 1.0;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--devices" && i + 1 < argc) {
-      config.device_count = std::max(1, std::atoi(argv[++i]));
+    // Each flag takes a value, after '=' or as the next argument.
+    std::string flag = argv[i];
+    std::string value;
+    if (const size_t equals = flag.find('='); equals != std::string::npos) {
+      value = flag.substr(equals + 1);
+      flag.resize(equals);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    const char* end = value.data() + value.size();
+    if (flag == "--devices") {
+      // At most 64: the width of the brownout controller's device mask.
+      const auto [ptr, error] =
+          std::from_chars(value.data(), end, config.device_count);
+      if (error != std::errc() || ptr != end || config.device_count < 1 ||
+          config.device_count > 64) {
+        Usage("--devices '" + value + "' is not an integer in [1, 64]");
+      }
+    } else if (flag == "--fusion" && (value == "on" || value == "off")) {
+      config.fusion = value == "on";
+    } else {
+      Usage("bad argument " + flag + " '" + value + "'");
     }
   }
+
+  std::printf("HetDB SQL shell — generating SSB database (SF 1)...\n");
+  SsbGeneratorOptions gen;
+  gen.scale_factor = 1.0;
+  DatabasePtr db = GenerateSsbDatabase(gen);
   EngineContext ctx(config, db);
   Server server(&ctx);  // Data-Driven Chopping behind admission control
   SessionPtr session = server.OpenSession("shell");
@@ -172,17 +207,16 @@ int main(int argc, char** argv) {
       "  SELECT d_year, sum(lo_revenue) AS revenue FROM lineorder, date\n"
       "  WHERE lo_orderdate = d_datekey GROUP BY d_year ORDER BY d_year;\n"
       "Statements: SELECT / EXPLAIN SELECT / EXPLAIN ANALYZE SELECT\n"
-      "Meta: \\tables  \\cache  \\server  \\deadline MS  \\fusion on|off\n"
+      "Meta: \\tables  \\cache  \\server  \\deadline MS\n"
       "      \\trace SELECT ...  \\flight [path]  \\quit\n\n");
 
   // Per-statement SLO budget (\deadline); 0 = none. Queries the admission
   // controller cannot serve in time are shed before touching the device.
-  long deadline_ms = 0;
-  auto submit_options = [&deadline_ms] {
+  std::chrono::milliseconds deadline{0};
+  auto submit_options = [&deadline] {
     SubmitOptions options;
-    if (deadline_ms > 0) {
-      options.deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(deadline_ms);
+    if (deadline.count() > 0) {
+      options.deadline = std::chrono::steady_clock::now() + deadline;
     }
     return options;
   };
@@ -217,28 +251,22 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind("\\deadline", 0) == 0) {
-      deadline_ms = std::atol(line.substr(9).c_str());
-      if (deadline_ms > 0) {
-        std::printf("  deadline set to %ld ms\n", deadline_ms);
+      const std::optional<std::chrono::milliseconds> budget =
+          ParseDeadline(Argument(line.substr(9)));
+      if (!budget.has_value()) {
+        std::printf("error: \\deadline takes whole milliseconds in [0, %lld];"
+                    " deadline stays %lld ms\n",
+                    static_cast<long long>(kMaxDeadlineMillis),
+                    static_cast<long long>(deadline.count()));
+        continue;
+      }
+      deadline = *budget;
+      if (deadline.count() > 0) {
+        std::printf("  deadline set to %lld ms\n",
+                    static_cast<long long>(deadline.count()));
       } else {
         std::printf("  deadline cleared\n");
       }
-      continue;
-    }
-    if (line.rfind("\\fusion", 0) == 0) {
-      std::string arg = line.substr(7);
-      const size_t start = arg.find_first_not_of(" \t");
-      arg = start == std::string::npos ? std::string() : arg.substr(start);
-      if (arg == "on") {
-        GlobalKernelConfig().fusion = true;
-      } else if (arg == "off") {
-        GlobalKernelConfig().fusion = false;
-      } else if (!arg.empty()) {
-        std::printf("usage: \\fusion on|off\n");
-        continue;
-      }
-      std::printf("  pipeline fusion: %s\n",
-                  GlobalKernelConfig().fusion ? "on" : "off");
       continue;
     }
     if (line == "\\cache") {
@@ -274,9 +302,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind("\\flight", 0) == 0) {
-      std::string path = line.substr(7);
-      const size_t start = path.find_first_not_of(" \t");
-      path = start == std::string::npos ? std::string() : path.substr(start);
+      const std::string path = Argument(line.substr(7));
       const std::string jsonl =
           FlightRecorder::ToJsonl(ctx.flight_recorder().Snapshot());
       if (path.empty()) {
@@ -330,19 +356,15 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", plan.status().ToString().c_str());
       continue;
     }
-    // Mirror the executor's fusion decision so EXPLAIN (and the stats the
-    // ANALYZE path registers) describe the plan that actually runs.
-    PlanNodePtr final_plan = plan.value();
-    size_t fused_nodes = 0;
-    if (GlobalKernelConfig().fusion) {
-      final_plan = FusePipelines(final_plan);
-      VisitPlanPostOrder(final_plan, [&fused_nodes](const PlanNodePtr& node) {
+    if (parsed.value().explain == ExplainMode::kPlan) {
+      // The plan the server's runner executes for this statement.
+      const PlanNodePtr optimized = server.runner().Optimize(plan.value());
+      size_t fused_nodes = 0;
+      VisitPlanPostOrder(optimized, [&fused_nodes](const PlanNodePtr& node) {
         if (node->op() == PlanOp::kFusedPipeline) ++fused_nodes;
       });
-    }
-    if (parsed.value().explain == ExplainMode::kPlan) {
-      std::printf("%s", RenderPlanTree(final_plan).c_str());
-      if (!GlobalKernelConfig().fusion) {
+      std::printf("%s", RenderPlanTree(optimized).c_str());
+      if (!ctx.config().fusion) {
         std::printf("-- fusion: off\n");
       } else {
         std::printf("-- fusion: %zu pipeline(s) fused\n", fused_nodes);
@@ -350,11 +372,12 @@ int main(int argc, char** argv) {
       continue;
     }
     if (parsed.value().explain == ExplainMode::kAnalyze) {
-      QueryStatsPtr stats = MakeQueryStats(final_plan);
+      // Empty stats: the server registers the plan it runs.
+      auto stats = std::make_shared<QueryStats>();
       stats->set_name(line);
       SubmitOptions options = submit_options();
       options.stats = stats;
-      Result<TablePtr> result = session->Execute(final_plan, options);
+      Result<TablePtr> result = session->Execute(plan.value(), options);
       if (!result.ok()) {
         std::printf("error: %s\n", result.status().ToString().c_str());
         continue;

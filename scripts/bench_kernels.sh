@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Records the kernel-backend microbenchmarks (scalar vs morsel-parallel) into
-# BENCH_kernels.json at the repo root and prints a speedup summary.
+# Records the kernel microbenchmarks (reference kernels, BM_*Scalar, vs
+# morsel-parallel ones) into BENCH_kernels.json at the repo root and prints a
+# speedup summary.
 #
 # Usage:
 #     scripts/bench_kernels.sh [build_dir]

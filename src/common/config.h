@@ -117,57 +117,21 @@ struct SystemConfig {
   /// (it does not remove either robustness problem).
   bool compress_device_cache = false;
 
+  // --- Plan rewrite --------------------------------------------------------
+  /// Pipeline fusion: the runner groups fusable filter -> join-probe ->
+  /// aggregate/project chains into FusedPipeline nodes that evaluate the
+  /// whole chain per morsel without materializing intermediates (DESIGN.md
+  /// §11). Results are bit-identical either way. Off reproduces the paper's
+  /// operator-at-a-time materialization, whose intermediates are what
+  /// contend for the device heap (Figures 3, 12, 13).
+  bool fusion = true;
+
   size_t device_heap_bytes() const {
     return device_memory_bytes > device_cache_bytes
                ? device_memory_bytes - device_cache_bytes
                : 0;
   }
 };
-
-// ---------------------------------------------------------------------------
-// Host kernel backend selection
-// ---------------------------------------------------------------------------
-
-/// Which implementation the shared compute kernels in `operators/kernels.cc`
-/// use. Both backends are bit-identical by construction (DESIGN.md §7), so
-/// this is purely a performance/verification knob.
-enum class KernelBackend {
-  /// Single-threaded reference implementations (simple data structures,
-  /// row-at-a-time loops). Kept as the oracle the parity tests compare
-  /// against and as the baseline `bench/micro_kernels` measures speedups
-  /// over.
-  kScalar,
-  /// Cache-conscious morsel-parallel implementations on the shared task
-  /// arena (`common/parallel.h`): branchless filters, partitioned
-  /// open-addressing hash join, packed-key aggregation.
-  kMorselParallel,
-};
-
-/// Process-global kernel settings. The kernels are context-free (they are
-/// shared by every executor and placement strategy), so — like the trace
-/// recorder — their configuration is process-global rather than part of
-/// SystemConfig. Mutate only between queries (benchmark/test setup); the
-/// kernels read it concurrently.
-struct KernelConfig {
-  KernelBackend backend = KernelBackend::kMorselParallel;
-  /// Upper bound on workers per kernel invocation; 0 means "the DopBudget
-  /// capacity" (i.e. whatever the token pool allows at that moment).
-  int max_dop = 0;
-  /// Rows per morsel. 16k rows keep a few touched columns of a morsel
-  /// inside L1/L2 while amortizing scheduling to ~micro-seconds of work.
-  size_t morsel_rows = 16 * 1024;
-  /// Pipeline fusion: when true the plan-rewrite pass groups fusable
-  /// filter -> join-probe -> aggregate/project chains into FusedPipeline
-  /// nodes that evaluate the whole chain per morsel without materializing
-  /// intermediates (DESIGN.md §11). Results are bit-identical either way;
-  /// this is a performance/verification knob like `backend`.
-  bool fusion = true;
-};
-
-inline KernelConfig& GlobalKernelConfig() {
-  static KernelConfig config;
-  return config;
-}
 
 }  // namespace hetdb
 

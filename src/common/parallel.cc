@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/config.h"
 #include "common/logging.h"
 
 namespace hetdb {
@@ -202,14 +201,16 @@ void DopBudget::Release(int count) {
 }
 
 namespace {
-thread_local int t_dop_cap = 0;  // 0 = uncapped
+std::atomic<size_t> g_morsel_rows{16 * 1024};
 
-int ApplyDopCap(int max_dop) {
-  const int cap = t_dop_cap;
-  if (cap > 0 && (max_dop <= 0 || cap < max_dop)) return cap;
-  return max_dop;
-}
+thread_local int t_dop_cap = 0;  // 0 = uncapped
 }  // namespace
+
+size_t MorselRows() { return g_morsel_rows.load(std::memory_order_relaxed); }
+
+void SetMorselRows(size_t rows) {
+  g_morsel_rows.store(std::max<size_t>(rows, 1), std::memory_order_relaxed);
+}
 
 ScopedDopCap::ScopedDopCap(int cap) : previous_(t_dop_cap) {
   if (cap > 0 && (previous_ == 0 || cap < previous_)) t_dop_cap = cap;
@@ -219,27 +220,21 @@ ScopedDopCap::~ScopedDopCap() { t_dop_cap = previous_; }
 
 int ScopedDopCap::current() { return t_dop_cap; }
 
-int MaxParallelWorkers(size_t total, size_t morsel_rows, int max_dop) {
+int MaxParallelWorkers(size_t total, size_t morsel_rows) {
   if (total == 0) return 1;
   if (morsel_rows == 0) morsel_rows = 1;
-  if (max_dop <= 0) max_dop = GlobalKernelConfig().max_dop;
-  if (max_dop <= 0) max_dop = DopBudget::Global().capacity();
-  max_dop = ApplyDopCap(max_dop);
+  int dop = DopBudget::Global().capacity();
+  if (t_dop_cap > 0 && t_dop_cap < dop) dop = t_dop_cap;
   const size_t morsels = (total + morsel_rows - 1) / morsel_rows;
-  return static_cast<int>(std::min<size_t>(std::max(max_dop, 1), morsels));
+  return static_cast<int>(std::min<size_t>(std::max(dop, 1), morsels));
 }
 
-int ParallelFor(size_t total, size_t morsel_rows, const MorselFn& fn,
-                int max_dop) {
+int ParallelFor(size_t total, size_t morsel_rows, const MorselFn& fn) {
   if (total == 0) return 1;
   if (morsel_rows == 0) morsel_rows = 1;
-  if (max_dop <= 0) max_dop = GlobalKernelConfig().max_dop;
-  if (max_dop <= 0) max_dop = DopBudget::Global().capacity();
-  max_dop = ApplyDopCap(max_dop);
 
   const size_t morsels = (total + morsel_rows - 1) / morsel_rows;
-  const int want =
-      static_cast<int>(std::min<size_t>(std::max(max_dop, 1), morsels));
+  const int want = MaxParallelWorkers(total, morsel_rows);
   if (want <= 1 || t_inside_morsel_worker) {
     const bool was_inside = t_inside_morsel_worker;
     t_inside_morsel_worker = true;

@@ -73,6 +73,12 @@ class DopBudget {
   std::atomic<int> available_;
 };
 
+/// Rows per morsel the kernels split their inputs into. The default 16K keeps
+/// a morsel's touched columns in L1/L2 while scheduling amortizes to
+/// microseconds of work; only tests shrink it (values below 1 become 1).
+size_t MorselRows();
+void SetMorselRows(size_t rows);
+
 /// Body of a morsel loop: processes rows [begin, end). `worker` is a dense
 /// index in [0, dop) unique to this invocation — kernels use it to address
 /// per-worker scratch buffers. Worker 0 is always the calling thread.
@@ -89,9 +95,9 @@ using MorselFn = std::function<void(size_t begin, size_t end, int worker)>;
 /// from DopBudget::Global(); the calling thread always participates, so the
 /// call completes even when the budget is exhausted.
 ///
-/// `max_dop` caps the workers for this call; 0 uses
-/// GlobalKernelConfig().max_dop (which in turn defaults to the budget's
-/// capacity). Returns the number of workers that participated (>= 1).
+/// The workers for this call are capped by the budget's capacity and the
+/// thread's ScopedDopCap. Returns the number of workers that participated
+/// (>= 1).
 ///
 /// Every morsel is processed exactly once, and `fn` invocations for
 /// different morsels may run concurrently — the caller must ensure disjoint
@@ -99,19 +105,17 @@ using MorselFn = std::function<void(size_t begin, size_t end, int worker)>;
 /// Invocations are always morsel-aligned: `begin` is a multiple of
 /// `morsel_rows` and `end - begin <= morsel_rows`, so `begin / morsel_rows`
 /// is a stable morsel index kernels can key per-morsel state on.
-int ParallelFor(size_t total, size_t morsel_rows, const MorselFn& fn,
-                int max_dop = 0);
+int ParallelFor(size_t total, size_t morsel_rows, const MorselFn& fn);
 
 /// Upper bound on the worker count a ParallelFor over `total` rows could use
 /// (same clamping as ParallelFor, ignoring current token availability).
 /// Kernels size per-worker scratch with this before starting the loop.
-int MaxParallelWorkers(size_t total, size_t morsel_rows, int max_dop = 0);
+int MaxParallelWorkers(size_t total, size_t morsel_rows);
 
-/// Thread-local DoP ceiling, applied on top of whatever `max_dop` /
-/// GlobalKernelConfig() resolve to, for every ParallelFor issued by this
-/// thread while the scope is open. Lets a supervisor (the brownout
-/// controller's L1 level) throttle one query's intra-operator parallelism
-/// without mutating the process-global kernel config under other queries.
+/// Thread-local DoP ceiling, applied on top of the budget's capacity for
+/// every ParallelFor issued by this thread while the scope is open. Lets a
+/// supervisor (the brownout controller's L1 level) throttle one query's
+/// intra-operator parallelism without touching other queries.
 /// Nests: the innermost scope's cap wins only if it is tighter.
 class ScopedDopCap {
  public:

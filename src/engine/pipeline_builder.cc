@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.h"
 #include "common/logging.h"
 #include "operators/fused_pipeline.h"
 #include "telemetry/query_stats.h"
@@ -267,7 +266,6 @@ PlanNodePtr FusePipelines(const PlanNodePtr& node, int max_fused_joins) {
 
 PlanNodePtr OptimizePlan(const PlanNodePtr& root, const QueryStats* stats,
                          int max_fused_joins) {
-  if (!GlobalKernelConfig().fusion) return root;
   PlanNodePtr fused = FusePipelines(root, max_fused_joins);
   const bool stats_compatible = stats == nullptr || stats->nodes().empty() ||
                                 stats->Find(fused.get()) != nullptr;

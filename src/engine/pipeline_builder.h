@@ -32,12 +32,12 @@ PlanNodePtr FusePipelines(const PlanNodePtr& root, int max_fused_joins = -1);
 
 class QueryStats;
 
-/// Applies FusePipelines under the `KernelConfig::fusion` knob. Call this
-/// before MakeQueryStats so per-node attribution follows the plan that will
-/// actually execute. When `stats` was already registered against a
-/// *different* plan, the rewrite is declined and `root` is returned
+/// FusePipelines, unless `stats` was already registered against a
+/// *different* plan: then the rewrite is declined and `root` is returned
 /// unchanged — adopting it would orphan the caller's per-node attribution.
-/// `max_fused_joins` passes through to FusePipelines (brownout L1 sets 1).
+/// `max_fused_joins` passes through to FusePipelines. Whether to fuse at
+/// all, and the brownout cap, are the engine context's decision: the
+/// engine calls this only from StrategyRunner::Optimize.
 PlanNodePtr OptimizePlan(const PlanNodePtr& root,
                          const QueryStats* stats = nullptr,
                          int max_fused_joins = -1);

@@ -1,7 +1,8 @@
 #include "fault/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +12,15 @@ namespace {
 /// Long enough to outlast any run; episodes end by re-deriving schedules,
 /// not by draining the counter.
 constexpr int kOfflineForever = 1 << 30;
+
+/// Parses all of `text` as one number; false on an empty, malformed,
+/// out-of-range or trailing-garbage token.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, *out);
+  return error == std::errc() && end == last;
+}
 }  // namespace
 
 const char* ChaosEpisodeKindName(ChaosEpisodeKind kind) {
@@ -31,10 +41,9 @@ Result<ChaosScenario> ChaosScenario::Parse(const std::string& text) {
                                    ": " + what);
   };
   auto parse_seconds = [](const std::string& token, double* out) {
-    if (token.size() < 2 || token.back() != 's') return false;
-    char* end = nullptr;
-    *out = std::strtod(token.c_str(), &end);
-    return end == token.c_str() + token.size() - 1 && *out >= 0;
+    return token.size() >= 2 && token.back() == 's' &&
+           ParseWhole(token.substr(0, token.size() - 1), out) &&
+           std::isfinite(*out) && *out >= 0;
   };
 
   ChaosScenario scenario;
@@ -77,20 +86,25 @@ Result<ChaosScenario> ChaosScenario::Parse(const std::string& text) {
       const std::string key = tokens[i].substr(0, eq);
       const std::string value = tokens[i].substr(eq + 1);
       if (key == "device") {
-        episode.device = std::atoi(value.c_str());
+        if (!ParseWhole(value, &episode.device) || episode.device < -1) {
+          return fail(line_no, "device must be -1 or >= 0: '" + value + "'");
+        }
       } else if (key == "p") {
-        episode.probability = std::atof(value.c_str());
-        if (episode.probability < 0 || episode.probability > 1) {
+        if (!ParseWhole(value, &episode.probability) ||
+            !(episode.probability >= 0 && episode.probability <= 1)) {
           return fail(line_no, "p out of [0,1]: '" + value + "'");
         }
       } else if (key == "factor") {
-        episode.latency_factor = std::atof(value.c_str());
-        if (episode.latency_factor < 1) {
+        if (!ParseWhole(value, &episode.latency_factor) ||
+            !std::isfinite(episode.latency_factor) ||
+            !(episode.latency_factor >= 1)) {
           return fail(line_no, "factor must be >= 1: '" + value + "'");
         }
       } else if (key == "min-bytes") {
-        episode.min_bytes =
-            static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+        if (!ParseWhole(value, &episode.min_bytes)) {
+          return fail(line_no, "min-bytes must be a byte count: '" + value +
+                                   "'");
+        }
       } else if (key == "name") {
         episode.name = value;
       } else {

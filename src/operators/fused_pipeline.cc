@@ -10,7 +10,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/config.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "operators/kernels_internal.h"
@@ -322,8 +321,8 @@ Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
 /// [min, max] for dense key domains (the same `max(8192, 8x rows)` density
 /// rule as the parallel hash join), a hash map otherwise. Duplicate build
 /// rows chain through `next` in ascending-row order, so enumeration replays
-/// the (probe ascending, build ascending within key) order of both unfused
-/// backends.
+/// the (probe ascending, build ascending within key) order of the unfused
+/// hash join and its reference.
 struct FusedJoinTable {
   bool dense = false;
   int64_t min_key = 0;
@@ -433,7 +432,7 @@ uint32_t RowOf(const Binding& b, size_t t, const std::vector<uint32_t>& src,
 
 /// Insertion-ordered open-addressing set over packed 64-bit group keys:
 /// Add returns the key's group id, numbering groups in first-seen order —
-/// the order every backend fixes for aggregate output rows.
+/// the order every kernel fixes for aggregate output rows.
 struct PackedGroups {
   std::vector<uint64_t> slot_keys;
   std::vector<uint32_t> slot_gids;  // kNoEntry = empty slot
@@ -482,7 +481,7 @@ struct PackedGroups {
 /// column is not int/code-typed or the composite key does not fit in 64
 /// bits; the byte-string path handles those. Either way groups are
 /// numbered first-seen over matches in ascending order, so the output is
-/// bit-identical across both discovery paths and both unfused backends.
+/// bit-identical across both discovery paths and the unfused aggregates.
 bool PackedGroupDiscovery(const BoundChain& bound,
                           const std::vector<uint32_t>& src,
                           const std::vector<std::vector<uint32_t>>& levels,
@@ -642,7 +641,7 @@ Result<TablePtr> AggregateMatches(
   // Group discovery: first-seen group order over matches in ascending
   // order — the same order the unfused chain's intermediate table has.
   // Packed 64-bit keys when the composite fits; byte-encoded int64 keys
-  // (string columns contribute their dictionary code, AggregateScalar's
+  // (string columns contribute their dictionary code, AggregateReference's
   // encoding) otherwise.
   std::vector<uint32_t> representative;  // first match tuple per group
   std::vector<uint32_t> group_of(total);
@@ -688,7 +687,7 @@ Result<TablePtr> AggregateMatches(
   }
 
   // One pass over the matches in ascending order: per-group double sums
-  // accumulate in exactly the order both unfused backends fix.
+  // accumulate in exactly the order the unfused aggregates fix.
   std::vector<std::vector<Acc>> accs(num_aggs, std::vector<Acc>(num_groups));
   for (size_t t = 0; t < total; ++t) {
     const uint32_t g = group_of[t];
@@ -755,10 +754,9 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
   // Stage 1: morsel loop — compiled CNF keep-mask, survivors probe the join
   // levels straight out of the mask into per-morsel match buffers. No column
   // data moves; only row indices are written.
-  const size_t morsel = ConfigMorselRows();
+  const size_t morsel = MorselRows();
   const size_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
-  const bool parallel = UseParallelBackend();
-  const int max_workers = parallel ? MaxParallelWorkers(n, morsel) : 1;
+  const int max_workers = MaxParallelWorkers(n, morsel);
 
   std::vector<std::vector<uint32_t>> morsel_src(num_morsels);
   std::vector<std::vector<std::vector<uint32_t>>> morsel_levels(num_morsels);
@@ -825,15 +823,7 @@ Result<TablePtr> EvaluateBoundChain(const BoundChain& bound,
     }
   };
 
-  int workers = 1;
-  if (parallel) {
-    workers = ParallelFor(n, morsel, body);
-  } else {
-    for (size_t m = 0; m < num_morsels; ++m) {
-      const size_t begin = m * morsel;
-      body(begin, std::min(n, begin + morsel), 0);
-    }
-  }
+  const int workers = ParallelFor(n, morsel, body);
   RecordLoop(stats, n, morsel, workers);
 
   // Stage 2: prefix-sum concat of the per-morsel buffers — morsel order is

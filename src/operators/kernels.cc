@@ -8,7 +8,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "common/config.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
@@ -23,14 +22,6 @@ using namespace kernel_internal;  // NOLINT — shared kernel building blocks
 // kernel_internal so the fused pipeline kernel reuses them; everything else
 // in this file stays in the anonymous namespace below.
 namespace kernel_internal {
-
-bool UseParallelBackend() {
-  return GlobalKernelConfig().backend == KernelBackend::kMorselParallel;
-}
-
-size_t ConfigMorselRows() {
-  return std::max<size_t>(1, GlobalKernelConfig().morsel_rows);
-}
 
 void RecordLoop(KernelStats& stats, size_t total, size_t morsel_rows,
                 int workers) {
@@ -80,20 +71,15 @@ double NumericAt(const Column& column, size_t row) {
   return 0;
 }
 
-/// out[i] = src[rows[i]]; morsel-parallel under the parallel backend. The
-/// value order (and hence the result) is identical either way.
+/// out[i] = src[rows[i]], morsel-parallel. Every slot is written by exactly
+/// one worker, so the result is identical at any DoP.
 template <typename T>
 std::vector<T> GatherValues(const std::vector<T>& src,
                             const std::vector<uint32_t>& rows) {
   std::vector<T> out(rows.size());
-  if (UseParallelBackend()) {
-    ParallelFor(rows.size(), ConfigMorselRows(),
-                [&](size_t begin, size_t end, int) {
-                  for (size_t i = begin; i < end; ++i) out[i] = src[rows[i]];
-                });
-  } else {
-    for (size_t i = 0; i < rows.size(); ++i) out[i] = src[rows[i]];
-  }
+  ParallelFor(rows.size(), MorselRows(), [&](size_t begin, size_t end, int) {
+    for (size_t i = begin; i < end; ++i) out[i] = src[rows[i]];
+  });
   return out;
 }
 
@@ -134,7 +120,7 @@ namespace {
 // Filter: predicate compilation + evaluation
 // ---------------------------------------------------------------------------
 
-/// Ors the rows matching `atom` into `mask` (scalar reference path).
+/// Ors the rows matching `atom` into `mask` (reference filter).
 Status EvalAtomInto(const Table& input, const Predicate& atom,
                     std::vector<uint8_t>* mask) {
   HETDB_ASSIGN_OR_RETURN(ColumnPtr column, input.GetColumn(atom.column));
@@ -264,7 +250,7 @@ namespace kernel_internal {
 
 /// Lowers `atom` against `input`. Mirrors EvalAtomInto exactly: same column
 /// lookup, same constant coercions, and the same error statuses in the same
-/// order, so both backends fail identically.
+/// order, so the reference and morsel-parallel filters fail identically.
 Result<CompiledAtom> CompileAtom(const Table& input, const Predicate& atom) {
   HETDB_ASSIGN_OR_RETURN(ColumnPtr column, input.GetColumn(atom.column));
   CompiledAtom out;
@@ -357,7 +343,7 @@ Result<CompiledAtom> CompileAtom(const Table& input, const Predicate& atom) {
 
 /// Branch-free OR of a comparison over `len` contiguous values into `out`.
 /// `C` is the comparison domain (int64 for integer columns — the same
-/// promotion the scalar path applies — double for double columns).
+/// promotion the reference filter applies — double for double columns).
 template <typename T, typename C>
 void OrCmpInto(const T* v, CompareOp op, C rhs, C rhs2, size_t len,
                uint8_t* out) {
@@ -439,10 +425,8 @@ void OrAtomInto(const CompiledAtom& atom, size_t begin, size_t len,
 
 }  // namespace kernel_internal
 
-namespace {
-
-/// Scalar reference filter (row-at-a-time atoms over full columns).
-Result<std::vector<uint32_t>> EvaluateFilterScalar(
+/// Row-at-a-time atoms over full columns.
+Result<std::vector<uint32_t>> EvaluateFilterReference(
     const Table& input, const ConjunctiveFilter& filter) {
   const size_t n = input.num_rows();
   std::vector<uint8_t> result(n, 1);
@@ -464,13 +448,15 @@ Result<std::vector<uint32_t>> EvaluateFilterScalar(
   return rows;
 }
 
+namespace {
+
 /// Morsel-parallel filter. Phase A evaluates the whole CNF per morsel (the
 /// morsel's columns stay cache-resident across all conjuncts) into a shared
 /// keep-mask and counts survivors per morsel; after a serial prefix sum over
 /// those counts, phase B materializes indices with the branchless
 /// store-and-advance idiom into per-worker scratch, then block-copies each
 /// morsel's survivors to its exclusive output range. Output is ascending row
-/// ids — byte-identical to the scalar path.
+/// ids — byte-identical to EvaluateFilterReference.
 Result<std::vector<uint32_t>> EvaluateFilterParallel(
     const Table& input, const ConjunctiveFilter& filter, KernelStats& stats) {
   const size_t n = input.num_rows();
@@ -486,7 +472,7 @@ Result<std::vector<uint32_t>> EvaluateFilterParallel(
     conjuncts.push_back(std::move(atoms));
   }
 
-  const size_t morsel = ConfigMorselRows();
+  const size_t morsel = MorselRows();
   const size_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
   const int max_workers = MaxParallelWorkers(n, morsel);
 
@@ -578,7 +564,7 @@ JoinMatches ConcatMorselMatches(
 /// a direct-address table over [min, max] replaces hashing entirely — the
 /// probe loop is a bounds check plus one L1/L2 load. `heads[k]` holds the
 /// first build row with key `min + k`; duplicate rows chain through `next`
-/// in ascending order, replaying the scalar match order.
+/// in ascending order, replaying the reference join's match order.
 template <typename TB, typename TP>
 JoinMatches DirectJoinMatches(const TB* build_keys, size_t build_rows,
                               uint64_t min_key, uint64_t range,
@@ -600,7 +586,7 @@ JoinMatches DirectJoinMatches(const TB* build_keys, size_t build_rows,
     tails[k] = static_cast<uint32_t>(i);
   }
 
-  const size_t morsel = ConfigMorselRows();
+  const size_t morsel = MorselRows();
   const size_t probe_morsels =
       probe_rows == 0 ? 0 : (probe_rows + morsel - 1) / morsel;
   std::vector<std::vector<uint32_t>> morsel_build(probe_morsels);
@@ -637,12 +623,12 @@ JoinMatches DirectJoinMatches(const TB* build_keys, size_t build_rows,
 ///
 /// Probe side: morsels look up their keys and append matches to per-morsel
 /// buffers, which a prefix sum concatenates in probe-row order — the exact
-/// (probe ascending, build ascending within key) order of the scalar path.
+/// (probe ascending, build ascending within key) order of the reference join.
 template <typename TB, typename TP>
 JoinMatches PartitionedJoinMatches(const TB* build_keys, size_t build_rows,
                                    const TP* probe_keys, size_t probe_rows,
                                    KernelStats& stats) {
-  const size_t morsel = ConfigMorselRows();
+  const size_t morsel = MorselRows();
   constexpr size_t kMaxParts = 64;
 
   size_t parts = 1;
@@ -699,7 +685,7 @@ JoinMatches PartitionedJoinMatches(const TB* build_keys, size_t build_rows,
   // Phase 3: one open-addressing table per partition (linear probing,
   // `head == kNoEntry` marks an empty slot). Partitions build in parallel;
   // within a partition, entries insert in ascending-row order so duplicate
-  // chains replay the scalar backend's first-match-then-overflow order.
+  // chains replay the reference join's first-match-then-overflow order.
   struct Slot {
     int64_t key;
     uint32_t head;
@@ -810,40 +796,6 @@ JoinMatches ParallelJoinMatches(const TB* build_keys, size_t build_rows,
                                 stats);
 }
 
-/// Scalar reference join: first-match map plus overflow vectors.
-JoinMatches ScalarJoinMatches(const Column& build_key_col, size_t build_rows,
-                              const Column& probe_key_col, size_t probe_rows) {
-  std::unordered_map<int64_t, uint32_t> first_match;
-  std::unordered_map<int64_t, std::vector<uint32_t>> overflow;
-  first_match.reserve(build_rows * 2);
-  for (size_t i = 0; i < build_rows; ++i) {
-    const int64_t key = IntKeyAt(build_key_col, i);
-    auto [it, inserted] = first_match.emplace(key, static_cast<uint32_t>(i));
-    if (!inserted) overflow[key].push_back(static_cast<uint32_t>(i));
-  }
-
-  JoinMatches matches;
-  // A PK-FK probe emits about one match per probe row; reserving that guess
-  // removes nearly all reallocation from the probe loop.
-  matches.build_rows.reserve(probe_rows);
-  matches.probe_rows.reserve(probe_rows);
-  for (size_t i = 0; i < probe_rows; ++i) {
-    const int64_t key = IntKeyAt(probe_key_col, i);
-    auto it = first_match.find(key);
-    if (it == first_match.end()) continue;
-    matches.build_rows.push_back(it->second);
-    matches.probe_rows.push_back(static_cast<uint32_t>(i));
-    auto ov = overflow.find(key);
-    if (ov != overflow.end()) {
-      for (uint32_t extra : ov->second) {
-        matches.build_rows.push_back(extra);
-        matches.probe_rows.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-  return matches;
-}
-
 Result<TablePtr> MaterializeJoinOutput(const Table& build, const Table& probe,
                                        const JoinOutputSpec& output_spec,
                                        const JoinMatches& matches,
@@ -913,7 +865,7 @@ AggInput ClassifyAggInput(const ColumnPtr& column, size_t num_rows) {
   return input;
 }
 
-/// Converts accumulators to output columns; shared so both backends apply
+/// Converts accumulators to output columns; shared so all kernels apply
 /// the identical typing rules (COUNT and integer SUM/MIN/MAX stay int64,
 /// AVG and double inputs produce doubles).
 Status AppendAggregateColumns(const std::vector<AggregateSpec>& aggregates,
@@ -1014,13 +966,13 @@ Status ResolveAggregateColumns(const Table& input,
   return Status::OK();
 }
 
-/// Scalar reference aggregation: byte-string group keys, one single pass
-/// over the input updating every aggregate's accumulator per row (instead of
-/// the former one-full-scan-per-aggregate loop).
-Result<TablePtr> AggregateScalar(const Table& input,
-                                 const std::vector<std::string>& group_by,
-                                 const std::vector<AggregateSpec>& aggregates,
-                                 const std::string& name) {
+}  // namespace
+
+/// Byte-string group keys, one single pass over the input updating every
+/// aggregate's accumulator per row.
+Result<TablePtr> AggregateReference(
+    const Table& input, const std::vector<std::string>& group_by,
+    const std::vector<AggregateSpec>& aggregates, const std::string& name) {
   const size_t n = input.num_rows();
   std::vector<ColumnPtr> group_cols;
   std::vector<ColumnPtr> agg_inputs;
@@ -1073,6 +1025,8 @@ Result<TablePtr> AggregateScalar(const Table& input,
                                              num_groups, output.get()));
   return output;
 }
+
+namespace {
 
 /// One group-by column lowered to a typed pointer for key packing.
 struct KeyCol {
@@ -1152,14 +1106,15 @@ struct LocalGroups {
 /// Morsel-parallel aggregation over packed 64-bit group keys.
 ///
 /// A parallel min/max prescan sizes each key column's bit field; if the
-/// composite key does not fit in 64 bits the kernel falls back to the scalar
-/// backend (identical results either way). Phase 1 builds worker-local group
-/// tables (thread-local preaggregation: no shared-table contention) and tags
+/// composite key does not fit in 64 bits the kernel falls back to
+/// AggregateReference (identical results either way). Phase 1 builds
+/// worker-local group tables (thread-local preaggregation: no shared-table
+/// contention) and tags
 /// every row with its local gid. A serial merge orders the global groups by
-/// their smallest input row — exactly the scalar backend's first-seen order —
+/// their smallest input row — exactly the reference's first-seen order —
 /// and remaps (worker, local gid) to global ranks. A serial stable scatter
 /// then groups row ids, and phase 2 accumulates each group's rows in
-/// ascending order (the scalar FP operation order) in parallel over groups.
+/// ascending order (the reference FP operation order) in parallel over groups.
 Result<TablePtr> AggregateParallel(const Table& input,
                                    const std::vector<std::string>& group_by,
                                    const std::vector<AggregateSpec>& aggregates,
@@ -1192,12 +1147,12 @@ Result<TablePtr> AggregateParallel(const Table& input,
             static_cast<const StringColumn&>(column).codes().data();
         break;
       case DataType::kDouble:
-        // Same programming error the scalar backend traps in IntKeyAt.
+        // Same programming error the reference traps in IntKeyAt.
         HETDB_LOG(Fatal) << "group-by on double column " << column.name();
     }
   }
 
-  const size_t morsel = ConfigMorselRows();
+  const size_t morsel = MorselRows();
   const size_t num_morsels = (n + morsel - 1) / morsel;
   const int max_workers = MaxParallelWorkers(n, morsel);
 
@@ -1239,8 +1194,8 @@ Result<TablePtr> AggregateParallel(const Table& input,
     total_bits += bits[c];
   }
   if (total_bits > 64) {
-    // Composite key too wide to pack: the scalar byte-string path handles it.
-    return AggregateScalar(input, group_by, aggregates, name);
+    // Composite key too wide to pack: the byte-string reference handles it.
+    return AggregateReference(input, group_by, aggregates, name);
   }
 
   auto pack = [&](size_t row) -> uint64_t {
@@ -1273,7 +1228,7 @@ Result<TablePtr> AggregateParallel(const Table& input,
   RecordLoop(stats, n, morsel, workers);
 
   // Serial merge: unify worker tables, order groups by smallest input row
-  // (= the scalar backend's first-seen order), remap local gids to ranks.
+  // (= the reference's first-seen order), remap local gids to ranks.
   std::unordered_map<uint64_t, uint32_t> merged_id;
   std::vector<uint32_t> merged_min;
   std::vector<uint64_t> merged_count;
@@ -1326,7 +1281,7 @@ Result<TablePtr> AggregateParallel(const Table& input,
   }
 
   // Phase 2: accumulate, parallel over groups; each group replays its rows
-  // in ascending order so double sums match the scalar backend bit-for-bit.
+  // in ascending order so double sums match the reference bit-for-bit.
   std::vector<AggInput> inputs;
   inputs.reserve(agg_inputs.size());
   for (const ColumnPtr& column : agg_inputs) {
@@ -1367,10 +1322,7 @@ Result<std::vector<uint32_t>> EvaluateFilter(const Table& input,
                                              const ConjunctiveFilter& filter) {
   static KernelStats stats("filter");
   KernelTimer timer(stats);
-  if (UseParallelBackend()) {
-    return EvaluateFilterParallel(input, filter, stats);
-  }
-  return EvaluateFilterScalar(input, filter);
+  return EvaluateFilterParallel(input, filter, stats);
 }
 
 Result<TablePtr> GatherRows(const Table& input,
@@ -1399,37 +1351,79 @@ Result<TablePtr> HashJoin(const Table& build, const std::string& build_key,
     return Status::InvalidArgument("join key '" + build_key +
                                    "' must be integer");
   }
+  // Probe keys face the same integer requirement the reference join enforces
+  // (fatally) in IntKeyAt.
+  HETDB_CHECK(probe_key_col->type() == DataType::kInt32 ||
+              probe_key_col->type() == DataType::kInt64);
 
   const size_t build_rows = build.num_rows();
   const size_t probe_rows = probe.num_rows();
   JoinMatches matches;
-  if (UseParallelBackend()) {
-    // Probe keys face the same integer requirement the scalar path enforces
-    // (fatally) in IntKeyAt.
-    HETDB_CHECK(probe_key_col->type() == DataType::kInt32 ||
-                probe_key_col->type() == DataType::kInt64);
-    auto dispatch = [&](const auto& build_values, const auto& probe_values) {
-      matches = ParallelJoinMatches(build_values.data(), build_rows,
-                                       probe_values.data(), probe_rows, stats);
-    };
-    if (build_key_col->type() == DataType::kInt32) {
-      const auto& bv = static_cast<const Int32Column&>(*build_key_col).values();
-      if (probe_key_col->type() == DataType::kInt32) {
-        dispatch(bv, static_cast<const Int32Column&>(*probe_key_col).values());
-      } else {
-        dispatch(bv, static_cast<const Int64Column&>(*probe_key_col).values());
-      }
+  auto dispatch = [&](const auto& build_values, const auto& probe_values) {
+    matches = ParallelJoinMatches(build_values.data(), build_rows,
+                                  probe_values.data(), probe_rows, stats);
+  };
+  if (build_key_col->type() == DataType::kInt32) {
+    const auto& bv = static_cast<const Int32Column&>(*build_key_col).values();
+    if (probe_key_col->type() == DataType::kInt32) {
+      dispatch(bv, static_cast<const Int32Column&>(*probe_key_col).values());
     } else {
-      const auto& bv = static_cast<const Int64Column&>(*build_key_col).values();
-      if (probe_key_col->type() == DataType::kInt32) {
-        dispatch(bv, static_cast<const Int32Column&>(*probe_key_col).values());
-      } else {
-        dispatch(bv, static_cast<const Int64Column&>(*probe_key_col).values());
-      }
+      dispatch(bv, static_cast<const Int64Column&>(*probe_key_col).values());
     }
   } else {
-    matches = ScalarJoinMatches(*build_key_col, build_rows, *probe_key_col,
-                                probe_rows);
+    const auto& bv = static_cast<const Int64Column&>(*build_key_col).values();
+    if (probe_key_col->type() == DataType::kInt32) {
+      dispatch(bv, static_cast<const Int32Column&>(*probe_key_col).values());
+    } else {
+      dispatch(bv, static_cast<const Int64Column&>(*probe_key_col).values());
+    }
+  }
+  return MaterializeJoinOutput(build, probe, output_spec, matches, name);
+}
+
+/// First-match map plus overflow vectors.
+Result<TablePtr> HashJoinReference(const Table& build,
+                                   const std::string& build_key,
+                                   const Table& probe,
+                                   const std::string& probe_key,
+                                   const JoinOutputSpec& output_spec,
+                                   const std::string& name) {
+  HETDB_ASSIGN_OR_RETURN(ColumnPtr build_key_col, build.GetColumn(build_key));
+  HETDB_ASSIGN_OR_RETURN(ColumnPtr probe_key_col, probe.GetColumn(probe_key));
+  if (build_key_col->type() != DataType::kInt32 &&
+      build_key_col->type() != DataType::kInt64) {
+    return Status::InvalidArgument("join key '" + build_key +
+                                   "' must be integer");
+  }
+  const size_t build_rows = build.num_rows();
+  const size_t probe_rows = probe.num_rows();
+  std::unordered_map<int64_t, uint32_t> first_match;
+  std::unordered_map<int64_t, std::vector<uint32_t>> overflow;
+  first_match.reserve(build_rows * 2);
+  for (size_t i = 0; i < build_rows; ++i) {
+    const int64_t key = IntKeyAt(*build_key_col, i);
+    auto [it, inserted] = first_match.emplace(key, static_cast<uint32_t>(i));
+    if (!inserted) overflow[key].push_back(static_cast<uint32_t>(i));
+  }
+
+  JoinMatches matches;
+  // A PK-FK probe emits about one match per probe row; reserving that guess
+  // removes nearly all reallocation from the probe loop.
+  matches.build_rows.reserve(probe_rows);
+  matches.probe_rows.reserve(probe_rows);
+  for (size_t i = 0; i < probe_rows; ++i) {
+    const int64_t key = IntKeyAt(*probe_key_col, i);
+    auto it = first_match.find(key);
+    if (it == first_match.end()) continue;
+    matches.build_rows.push_back(it->second);
+    matches.probe_rows.push_back(static_cast<uint32_t>(i));
+    auto ov = overflow.find(key);
+    if (ov != overflow.end()) {
+      for (uint32_t extra : ov->second) {
+        matches.build_rows.push_back(extra);
+        matches.probe_rows.push_back(static_cast<uint32_t>(i));
+      }
+    }
   }
   return MaterializeJoinOutput(build, probe, output_spec, matches, name);
 }
@@ -1440,10 +1434,10 @@ Result<TablePtr> Aggregate(const Table& input,
                            const std::string& name) {
   static KernelStats stats("aggregate");
   KernelTimer timer(stats);
-  if (UseParallelBackend() && input.num_rows() > 0) {
-    return AggregateParallel(input, group_by, aggregates, name, stats);
+  if (input.num_rows() == 0) {
+    return AggregateReference(input, group_by, aggregates, name);
   }
-  return AggregateScalar(input, group_by, aggregates, name);
+  return AggregateParallel(input, group_by, aggregates, name, stats);
 }
 
 Result<TablePtr> Sort(const Table& input, const std::vector<SortKey>& keys,

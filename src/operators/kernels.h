@@ -73,6 +73,27 @@ Result<TablePtr> Limit(const Table& input, size_t n, const std::string& name);
 /// columns), used for cost accounting.
 size_t FilterInputBytes(const Table& input, const ConjunctiveFilter& filter);
 
+// ---------------------------------------------------------------------------
+// Reference kernels
+// ---------------------------------------------------------------------------
+
+/// Row-at-a-time EvaluateFilter, HashJoin and Aggregate with the same
+/// results: the oracle of the parity tests and the serial baseline of
+/// `bench/micro_kernels`. Their gathers are morsel-parallel, so run them at
+/// DoP 1. Aggregate itself uses AggregateReference for group keys too wide
+/// to pack into 64 bits.
+Result<std::vector<uint32_t>> EvaluateFilterReference(
+    const Table& input, const ConjunctiveFilter& filter);
+Result<TablePtr> HashJoinReference(const Table& build,
+                                   const std::string& build_key,
+                                   const Table& probe,
+                                   const std::string& probe_key,
+                                   const JoinOutputSpec& output_spec,
+                                   const std::string& name);
+Result<TablePtr> AggregateReference(
+    const Table& input, const std::vector<std::string>& group_by,
+    const std::vector<AggregateSpec>& aggregates, const std::string& name);
+
 }  // namespace hetdb
 
 #endif  // HETDB_OPERATORS_KERNELS_H_

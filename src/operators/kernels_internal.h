@@ -17,19 +17,14 @@ namespace kernel_internal {
 
 /// Building blocks shared between the per-operator kernels (`kernels.cc`)
 /// and the fused pipeline kernel (`fused_pipeline.cc`). Bit-identical
-/// results across the scalar, morsel-parallel, and fused paths hinge on all
-/// three using the same predicate compilation, value coercions, accumulator
-/// updates, and output typing rules — so those live here exactly once.
+/// results across the reference, morsel-parallel, and fused kernels hinge on
+/// all three using the same predicate compilation, value coercions,
+/// accumulator updates, and output typing rules — so those live here exactly
+/// once.
 /// Everything in this namespace is an implementation detail of the operator
 /// layer; engine and above use the public kernels in `kernels.h`.
 
 constexpr uint32_t kNoEntry = std::numeric_limits<uint32_t>::max();
-
-/// True when GlobalKernelConfig() selects the morsel-parallel backend.
-bool UseParallelBackend();
-
-/// GlobalKernelConfig().morsel_rows, clamped to at least 1.
-size_t ConfigMorselRows();
 
 /// splitmix64 finalizer: full-avalanche 64-bit mix. Top bits pick the join
 /// partition, low bits the hash-table slot, so the two are independent.
@@ -145,9 +140,9 @@ struct CompiledAtom {
   int32_t clo = 0, chi = 0;
 };
 
-/// Lowers `atom` against `input`. Mirrors the scalar backend exactly: same
+/// Lowers `atom` against `input`. Mirrors the reference filter exactly: same
 /// column lookup, same constant coercions, and the same error statuses in
-/// the same order, so all backends fail identically.
+/// the same order, so all kernels fail identically.
 Result<CompiledAtom> CompileAtom(const Table& input, const Predicate& atom);
 
 /// Ors `atom` over rows [begin, begin+len) into the morsel-local `out`.
@@ -169,9 +164,9 @@ struct AggInput {
 
 AggInput ClassifyAggInput(const ColumnPtr& column, size_t num_rows);
 
-/// Typed accumulator shared by all backends. Integer inputs accumulate in
+/// Typed accumulator shared by all kernels. Integer inputs accumulate in
 /// int64 (exact, order-insensitive); double inputs accumulate in double, so
-/// the result depends only on the per-group row order — which every backend
+/// the result depends only on the per-group row order — which every kernel
 /// fixes as ascending input row.
 struct Acc {
   int64_t isum = 0;
@@ -233,7 +228,7 @@ inline void UpdateAccDouble(double v, Acc& acc) {
   acc.dmax = std::max(acc.dmax, v);
 }
 
-/// Converts accumulators to output columns; shared so all backends apply
+/// Converts accumulators to output columns; shared so all kernels apply
 /// the identical typing rules (COUNT and integer SUM/MIN/MAX stay int64,
 /// AVG and double inputs produce doubles). Only `inputs[i].kind` is read.
 Status AppendAggregateColumns(const std::vector<AggregateSpec>& aggregates,

@@ -1,6 +1,5 @@
 #include "placement/strategy_runner.h"
 
-#include "common/config.h"
 #include "common/logging.h"
 #include "engine/pipeline_builder.h"
 #include "placement/compile_time.h"
@@ -65,18 +64,17 @@ Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
   return RunQuery(root, std::move(controls));
 }
 
-Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
-                                          QueryControls controls) {
-  // Pipeline fusion (DESIGN.md §11): rewrite fusable chains into
-  // FusedPipeline nodes unless disabled. OptimizePlan declines the rewrite
-  // when the caller registered stats against a different (unfused) plan —
-  // callers that want fused attribution fuse before MakeQueryStats. Under
-  // brownout L1+ deep pipelines stop fusing (single-join chains only): a
-  // multi-join fused pipeline holds every build table on-device at once,
-  // the first footprint to shed under heap pressure.
+PlanNodePtr StrategyRunner::Optimize(const PlanNodePtr& root,
+                                     const QueryStats* stats) const {
+  if (!ctx_->config().fusion) return root;
   const int max_fused_joins =
       ctx_->brownout().AllowMultiJoinFusion() ? -1 : 1;
-  PlanNodePtr plan = OptimizePlan(root, controls.stats.get(), max_fused_joins);
+  return OptimizePlan(root, stats, max_fused_joins);
+}
+
+Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
+                                          QueryControls controls) {
+  PlanNodePtr plan = Optimize(root, controls.stats.get());
   if (chopping_ != nullptr) {
     return chopping_->ExecuteQuery(plan, placer_, std::move(controls));
   }

@@ -26,11 +26,9 @@ class StrategyRunner {
   Result<TablePtr> RunQuery(const PlanNodePtr& root);
 
   /// Same, attributing resources to `stats` (EXPLAIN ANALYZE, per-query
-  /// workload breakdowns). Register the plan's nodes first with
-  /// MakeQueryStats(root), or pass an empty QueryStats and the executor
-  /// registers them itself. To get fused execution *and* per-node stats,
-  /// call OptimizePlan(root) before MakeQueryStats — stats registered
-  /// against the unfused plan make the runner decline the fusion rewrite.
+  /// workload breakdowns). Pass an empty QueryStats and the executor
+  /// registers the plan it runs (after Optimize). Stats already registered
+  /// against `root` make Optimize decline the fusion rewrite.
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryStatsPtr stats);
 
   /// Full-control variant (server/session path): cancel token, deadline, and
@@ -39,6 +37,14 @@ class StrategyRunner {
   /// execution starts (their operator-at-a-time executor has no mid-flight
   /// checkpoints).
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryControls controls);
+
+  /// The plan RunQuery executes for `root`: FusePipelines if the context's
+  /// `fusion` is on (DESIGN.md §11), capped at single-join chains under
+  /// brownout L1+ (a multi-join pipeline holds every build table on-device
+  /// at once). Returns `root` when `stats` holds nodes of another plan.
+  /// Idempotent, so Server::Submit and EXPLAIN may call it first.
+  PlanNodePtr Optimize(const PlanNodePtr& root,
+                       const QueryStats* stats = nullptr) const;
 
   Strategy strategy() const { return strategy_; }
   EngineContext& ctx() { return *ctx_; }

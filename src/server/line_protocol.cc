@@ -18,14 +18,6 @@
 
 namespace hetdb {
 
-namespace {
-
-/// Longest DEADLINE budget accepted (one day). It keeps `now() + budget`
-/// far inside steady_clock's range.
-constexpr int64_t kMaxDeadlineMillis = 24 * 60 * 60 * 1000;
-
-/// Parses a DEADLINE argument: whole milliseconds in [0, kMaxDeadlineMillis]
-/// and nothing else. Returns nullopt for anything else.
 std::optional<std::chrono::milliseconds> ParseDeadline(const std::string& text) {
   int64_t millis = 0;
   const char* last = text.data() + text.size();
@@ -36,6 +28,8 @@ std::optional<std::chrono::milliseconds> ParseDeadline(const std::string& text) 
   }
   return std::chrono::milliseconds(millis);
 }
+
+namespace {
 
 /// Buffered line reader over a stream fd.
 class LineReader {

@@ -2,8 +2,10 @@
 #define HETDB_SERVER_LINE_PROTOCOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +13,15 @@
 #include "server/server.h"
 
 namespace hetdb {
+
+/// Longest deadline budget accepted (one day). It keeps `now() + budget`
+/// far inside steady_clock's range.
+constexpr int64_t kMaxDeadlineMillis = 24 * 60 * 60 * 1000;
+
+/// Parses a deadline budget: whole milliseconds in [0, kMaxDeadlineMillis]
+/// and nothing else (no space, no suffix). Returns nullopt for anything
+/// else. The DEADLINE verb and `sql_shell`'s `\deadline` use it.
+std::optional<std::chrono::milliseconds> ParseDeadline(const std::string& text);
 
 /// Knobs for the text front door.
 struct LineProtocolOptions {

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "engine/pipeline_builder.h"
 #include "sql/planner.h"
 #include "telemetry/telemetry.h"
 
@@ -95,13 +94,9 @@ SessionPtr Server::OpenSession(const std::string& tenant) {
 std::future<Result<TablePtr>> Server::Submit(const std::string& tenant,
                                              PlanNodePtr plan,
                                              SubmitOptions options) {
-  // Fuse before stats registration so per-node attribution (and the plan
-  // the dispatcher executes) follow the rewritten shape. Declined when the
-  // caller pre-registered stats against the unfused plan. Brownout L1+
-  // caps fusion at single-join chains (see pipeline_builder.h).
-  plan = OptimizePlan(
-      plan, options.stats.get(),
-      ctx_->brownout().AllowMultiJoinFusion() ? -1 : 1);
+  // Optimize before stats registration so per-node attribution (and the
+  // plan the dispatcher executes) follow the rewritten shape.
+  plan = runner_.Optimize(plan, options.stats.get());
   auto query = std::make_unique<QueuedQuery>();
   query->tenant = tenant;
   query->cost = options.cost;

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "engine/pipeline_builder.h"
 #include "telemetry/histogram.h"
 #include "workload/user_sim.h"
 
@@ -101,14 +100,8 @@ void RunOpenLoopTenant(Server& server, const TenantTraffic& tenant,
       accum.failed.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    // Fuse before registering stats so Server::Submit keeps the rewrite
-    // (it declines fusion when stats are bound to a different plan). Must
-    // match Submit's brownout fusion cap or the shapes diverge and the
-    // rewrite is declined.
-    plan.value() = OptimizePlan(
-        plan.value(), nullptr,
-        server.ctx().brownout().AllowMultiJoinFusion() ? -1 : 1);
-    QueryStatsPtr stats = MakeQueryStats(plan.value());
+    // Empty stats: Server::Submit registers the plan it optimizes.
+    auto stats = std::make_shared<QueryStats>();
     accum.offered.fetch_add(1, std::memory_order_relaxed);
     Pending p;
     p.stats = stats;
@@ -150,10 +143,7 @@ void RunClosedLoopTenant(Server& server, const TenantTraffic& tenant,
       accum.failed.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    plan.value() = OptimizePlan(
-        plan.value(), nullptr,
-        server.ctx().brownout().AllowMultiJoinFusion() ? -1 : 1);
-    QueryStatsPtr stats = MakeQueryStats(plan.value());
+    auto stats = std::make_shared<QueryStats>();
     accum.offered.fetch_add(1, std::memory_order_relaxed);
     Result<TablePtr> result = session->Execute(
         std::move(plan).value(), MakeSubmitOptions(tenant, query, stats));

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "engine/pipeline_builder.h"
 #include "telemetry/histogram.h"
 #include "workload/user_sim.h"
 
@@ -114,10 +113,8 @@ WorkloadRunResult RunWorkload(StrategyRunner& runner,
       return true;
     }
     admission.Acquire();
-    // Fuse before registering stats so attribution (and the run itself)
-    // follow the plan the runner will execute.
-    plan.value() = OptimizePlan(plan.value());
-    QueryStatsPtr stats = MakeQueryStats(plan.value());
+    // Empty stats: the executor registers the plan the runner optimizes.
+    auto stats = std::make_shared<QueryStats>();
     stats->set_name(query.name);
     Stopwatch latency;
     Result<TablePtr> result = runner.RunQuery(plan.value(), stats);

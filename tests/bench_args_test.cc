@@ -26,6 +26,7 @@ TEST(BenchArgsTest, DefaultsWithoutFlags) {
   ASSERT_TRUE(args.ok()) << args.status();
   EXPECT_FALSE(args->quick);
   EXPECT_TRUE(args->fusion);
+  EXPECT_TRUE(PaperConfig(*args).fusion);
   EXPECT_DOUBLE_EQ(args->time_scale, 1.0);
   EXPECT_EQ(args->seed, 0u);
   EXPECT_DOUBLE_EQ(args->think_time_ms, 0.0);
@@ -42,7 +43,9 @@ TEST(BenchArgsTest, ParsesSharedFlagsInBothForms) {
   EXPECT_TRUE(args->full);
   EXPECT_TRUE(args->per_query);
   EXPECT_FALSE(args->fusion);
+  EXPECT_FALSE(PaperConfig(*args).fusion);
   EXPECT_DOUBLE_EQ(args->time_scale, 0.2);
+  EXPECT_DOUBLE_EQ(PaperConfig(*args).time_scale, 2.0);  // modeled time x10
   EXPECT_EQ(args->seed, 7u);
   EXPECT_DOUBLE_EQ(args->think_time_ms, 10.0);
   EXPECT_EQ(args->trace_out, "t.json");

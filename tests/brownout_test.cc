@@ -202,6 +202,22 @@ TEST(ScenarioTest, RejectsMalformedLines) {
   EXPECT_FALSE(
       ChaosScenario::Parse("at 1.0s for 2.0s device-loss bogus=1").ok());
   EXPECT_FALSE(ChaosScenario::Parse("at x for 2.0s device-loss").ok());
+  // Every value parses as one whole, in-range token.
+  for (const char* line : {
+           "at 1.0s for 2.0s device-loss device=abc",
+           "at 1.0s for 2.0s device-loss device=-7",
+           "at 1.0s for 2.0s heap-squeeze p=abc",
+           "at 1.0s for 2.0s heap-squeeze p=0.5x",
+           "at 1.0s for 2.0s heap-squeeze p=nan",
+           "at 1.0s for 2.0s heap-squeeze min-bytes=-1",
+           "at 1.0s for 2.0s heap-squeeze min-bytes=64k",
+           "at 1.0s for 2.0s latency-storm factor=8x",
+           "at 1.0s for 2.0s latency-storm factor=inf",
+           "at infs for 2.0s device-loss",
+           "at 1.0s for infs device-loss",
+       }) {
+    EXPECT_FALSE(ChaosScenario::Parse(line).ok()) << line;
+  }
 }
 
 TEST(ScenarioTest, ManualSteppingAppliesComposesAndRestores) {

@@ -2,18 +2,16 @@
 // and the FusedPipeline kernel. The core invariant mirrors the parallel
 // kernel suite — fusion substitutes *execution shape*, never results: every
 // fused plan must produce byte-identical output to the unfused plan, across
-// backends, worker counts, and adversarial inputs. Also checks the fusion
+// strategies, worker counts, and adversarial inputs. Also checks the fusion
 // win itself: strictly lower simulated device-heap high-water for a fused
 // SSB query.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/config.h"
-#include "common/parallel.h"
 #include "engine/pipeline_builder.h"
 #include "operators/fused_pipeline.h"
 #include "placement/strategy_runner.h"
@@ -24,87 +22,11 @@
 namespace hetdb {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scope guards (same idiom as parallel_kernels_test.cc)
-// ---------------------------------------------------------------------------
-
-/// Applies a kernel backend + DoP + fusion configuration for one scope.
-class KernelScope {
- public:
-  KernelScope(KernelBackend backend, int threads, size_t morsel_rows,
-              bool fusion)
-      : saved_(GlobalKernelConfig()),
-        saved_capacity_(DopBudget::Global().capacity()) {
-    GlobalKernelConfig().backend = backend;
-    GlobalKernelConfig().max_dop = threads;
-    GlobalKernelConfig().morsel_rows = morsel_rows;
-    GlobalKernelConfig().fusion = fusion;
-    DopBudget::Global().SetCapacity(threads);
-  }
-  ~KernelScope() {
-    GlobalKernelConfig() = saved_;
-    DopBudget::Global().SetCapacity(saved_capacity_);
-  }
-
- private:
-  KernelConfig saved_;
-  int saved_capacity_;
-};
-
-std::vector<int> ThreadCounts() {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return {1, 2, 7, hw > 0 ? hw : 4};
-}
-
-/// Byte-identical comparison of raw value storage (doubles compared
-/// bitwise: the fused aggregate must reproduce the unfused accumulation
-/// order exactly, not just to rounding).
-template <typename T>
-void ExpectBitIdenticalValues(const std::vector<T>& a, const std::vector<T>& b,
-                              const std::string& col) {
-  ASSERT_EQ(a.size(), b.size()) << "row count of column " << col;
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
-        << "bytes of column " << col;
-  }
-}
-
-void ExpectBitIdenticalTables(const TablePtr& ta, const TablePtr& tb) {
-  ASSERT_NE(ta, nullptr);
-  ASSERT_NE(tb, nullptr);
-  ASSERT_EQ(ta->num_columns(), tb->num_columns());
-  ASSERT_EQ(ta->num_rows(), tb->num_rows());
-  for (size_t c = 0; c < ta->num_columns(); ++c) {
-    const Column& ca = *ta->columns()[c];
-    const Column& cb = *tb->columns()[c];
-    EXPECT_EQ(ca.name(), cb.name());
-    ASSERT_EQ(ca.type(), cb.type()) << "type of column " << ca.name();
-    switch (ca.type()) {
-      case DataType::kInt32:
-        ExpectBitIdenticalValues(static_cast<const Int32Column&>(ca).values(),
-                                 static_cast<const Int32Column&>(cb).values(),
-                                 ca.name());
-        break;
-      case DataType::kInt64:
-        ExpectBitIdenticalValues(static_cast<const Int64Column&>(ca).values(),
-                                 static_cast<const Int64Column&>(cb).values(),
-                                 ca.name());
-        break;
-      case DataType::kDouble:
-        ExpectBitIdenticalValues(static_cast<const DoubleColumn&>(ca).values(),
-                                 static_cast<const DoubleColumn&>(cb).values(),
-                                 ca.name());
-        break;
-      case DataType::kString: {
-        const auto& sa = static_cast<const StringColumn&>(ca);
-        const auto& sb = static_cast<const StringColumn&>(cb);
-        EXPECT_EQ(sa.dictionary(), sb.dictionary())
-            << "dictionary of column " << ca.name();
-        ExpectBitIdenticalValues(sa.codes(), sb.codes(), ca.name());
-        break;
-      }
-    }
-  }
+/// TestConfig() with pipeline fusion set.
+SystemConfig FusionConfig(bool fusion) {
+  SystemConfig config = TestConfig();
+  config.fusion = fusion;
+  return config;
 }
 
 // ---------------------------------------------------------------------------
@@ -119,33 +41,33 @@ size_t CountFusedNodes(const PlanNodePtr& root) {
   return count;
 }
 
-/// Runs `plan` under the given strategy twice — fusion off then on — and
-/// asserts byte-identical results. Returns the fused result.
+/// Runs `plan` under the given strategy twice — in a fusion-off context,
+/// then in a fusion-on one — and asserts byte-identical results. Returns
+/// the fused result.
 TablePtr ExpectFusionParity(const DatabasePtr& db, const PlanNodePtr& plan,
-                            Strategy strategy, KernelBackend backend,
-                            int threads, size_t morsel_rows = 256) {
-  TablePtr unfused;
-  {
-    KernelScope scope(backend, threads, morsel_rows, /*fusion=*/false);
-    EngineContext ctx(TestConfig(), db);
+                            Strategy strategy, int threads,
+                            size_t morsel_rows = 256) {
+  DopScope scope(threads, morsel_rows);
+  TablePtr results[2];
+  for (const bool fusion : {false, true}) {
+    EngineContext ctx(FusionConfig(fusion), db);
     StrategyRunner runner(&ctx, strategy);
     Result<TablePtr> result = runner.RunQuery(plan);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     if (!result.ok()) return nullptr;
-    unfused = result.value();
+    results[fusion] = result.value();
   }
-  TablePtr fused;
-  {
-    KernelScope scope(backend, threads, morsel_rows, /*fusion=*/true);
-    EngineContext ctx(TestConfig(), db);
-    StrategyRunner runner(&ctx, strategy);
-    Result<TablePtr> result = runner.RunQuery(plan);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (!result.ok()) return nullptr;
-    fused = result.value();
-  }
-  ExpectBitIdenticalTables(unfused, fused);
-  return fused;
+  ExpectBitIdenticalTables(results[false], results[true]);
+  return results[true];
+}
+
+/// The status of running `plan` under CPU Only in a context with `fusion`.
+Status CpuOnlyStatus(const DatabasePtr& db, const PlanNodePtr& plan,
+                     bool fusion) {
+  DopScope scope(2, 256);
+  EngineContext ctx(FusionConfig(fusion), db);
+  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+  return runner.RunQuery(plan).status();
 }
 
 class FusedPipelineTest : public ::testing::Test {
@@ -261,20 +183,14 @@ TEST_F(FusedPipelineTest, BuildSidesAreRewrittenRecursively) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: fused vs unfused, across strategies / backends / DoP
+// Parity: fused vs unfused, across strategies / DoP
 // ---------------------------------------------------------------------------
 
 TEST_F(FusedPipelineTest, StarQueryParityAcrossDop) {
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kMorselParallel}) {
-    for (int threads : ThreadCounts()) {
-      ExpectFusionParity(db_, StarPlan(), Strategy::kCpuOnly, backend,
-                         threads);
-      if (backend == KernelBackend::kMorselParallel) {
-        ExpectFusionParity(db_, StarPlan(), Strategy::kDataDrivenChopping,
-                           backend, threads);
-      }
-    }
+  for (int threads : ThreadCounts()) {
+    ExpectFusionParity(db_, StarPlan(), Strategy::kCpuOnly, threads);
+    ExpectFusionParity(db_, StarPlan(), Strategy::kDataDrivenChopping,
+                       threads);
   }
 }
 
@@ -286,8 +202,7 @@ TEST_F(FusedPipelineTest, FilterOnlyChainParity) {
           ConjunctiveFilter::And({Predicate::Gt("v", int64_t{20})})),
       ConjunctiveFilter::And({Predicate::Lt("v", int64_t{70})}));
   ASSERT_EQ(CountFusedNodes(FusePipelines(plan)), 1u);
-  TablePtr fused = ExpectFusionParity(db_, plan, Strategy::kCpuOnly,
-                                      KernelBackend::kMorselParallel, 2);
+  TablePtr fused = ExpectFusionParity(db_, plan, Strategy::kCpuOnly, 2);
   ASSERT_NE(fused, nullptr);
   EXPECT_GT(fused->num_rows(), 0u);
 }
@@ -299,8 +214,8 @@ TEST_F(FusedPipelineTest, AllPassAndAllFailPredicates) {
        }) {
     PlanNodePtr plan = StarPlan(lo, hi);
     for (int threads : {1, 7}) {
-      TablePtr fused = ExpectFusionParity(db_, plan, Strategy::kCpuOnly,
-                                          KernelBackend::kMorselParallel, threads);
+      TablePtr fused =
+          ExpectFusionParity(db_, plan, Strategy::kCpuOnly, threads);
       ASSERT_NE(fused, nullptr);
       if (lo > hi) {
         EXPECT_EQ(fused->num_rows(), 0u);
@@ -340,8 +255,7 @@ TEST_F(FusedPipelineTest, EmptySourceTable) {
       std::make_shared<ScanNode>(db->GetTable("dim").value(),
                                  std::vector<std::string>{"key", "name"}),
       std::move(select), "key", "fk", spec);
-  TablePtr fused = ExpectFusionParity(db, join, Strategy::kCpuOnly,
-                                      KernelBackend::kMorselParallel, 2);
+  TablePtr fused = ExpectFusionParity(db, join, Strategy::kCpuOnly, 2);
   ASSERT_NE(fused, nullptr);
   EXPECT_EQ(fused->num_rows(), 0u);
 }
@@ -388,8 +302,7 @@ TEST_F(FusedPipelineTest, NoMatchProbesAndDuplicateBuildKeys) {
       std::vector<AggregateSpec>{{AggregateFn::kSum, "w", "wsum"},
                                  {AggregateFn::kMax, "v", "vmax"}});
   for (int threads : ThreadCounts()) {
-    TablePtr fused = ExpectFusionParity(db, agg, Strategy::kCpuOnly,
-                                        KernelBackend::kMorselParallel, threads);
+    TablePtr fused = ExpectFusionParity(db, agg, Strategy::kCpuOnly, threads);
     ASSERT_NE(fused, nullptr);
     EXPECT_EQ(fused->num_rows(), 5u);  // probe keys 3..7 survive
   }
@@ -408,8 +321,7 @@ TEST_F(FusedPipelineTest, ProjectWithComputedColumnsParity) {
       std::vector<AggregateSpec>{{AggregateFn::kSum, "vw", "total"}});
   ASSERT_EQ(CountFusedNodes(FusePipelines(agg)), 1u);
   for (int threads : {1, 2, 7}) {
-    ExpectFusionParity(db_, agg, Strategy::kCpuOnly, KernelBackend::kMorselParallel,
-                       threads);
+    ExpectFusionParity(db_, agg, Strategy::kCpuOnly, threads);
   }
 }
 
@@ -422,8 +334,8 @@ TEST_F(FusedPipelineTest, SsbQueriesParityAllStrategies) {
     ASSERT_TRUE(plan.ok()) << query.name;
     for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly,
                               Strategy::kDataDrivenChopping}) {
-      ExpectFusionParity(ssb, plan.value(), strategy,
-                         KernelBackend::kMorselParallel, 2, /*morsel_rows=*/4096);
+      ExpectFusionParity(ssb, plan.value(), strategy, 2,
+                         /*morsel_rows=*/4096);
     }
   }
 }
@@ -445,8 +357,8 @@ TEST_F(FusedPipelineTest, FusedSsbQueryHasStrictlyLowerHeapHighWater) {
   ASSERT_TRUE(query.ok());
 
   auto run = [&](bool fusion) -> int64_t {
-    KernelScope scope(KernelBackend::kMorselParallel, 2, 4096, fusion);
-    EngineContext ctx(TestConfig(), ssb);
+    DopScope scope(2, 4096);
+    EngineContext ctx(FusionConfig(fusion), ssb);
     StrategyRunner runner(&ctx, Strategy::kGpuOnly);
     Result<PlanNodePtr> plan = query->builder(*ssb);
     EXPECT_TRUE(plan.ok());
@@ -484,8 +396,8 @@ TEST_F(FusedPipelineTest, FusedNodeChargesOnlyBuildTables) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FusedPipelineTest, StatsRegisteredAgainstFusedPlanAreAttributed) {
-  KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/true);
-  EngineContext ctx(TestConfig(), db_);
+  DopScope scope(2, 256);
+  EngineContext ctx(FusionConfig(true), db_);
   StrategyRunner runner(&ctx, Strategy::kCpuOnly);
   PlanNodePtr fused = FusePipelines(StarPlan());
   QueryStatsPtr stats = MakeQueryStats(fused);
@@ -500,8 +412,8 @@ TEST_F(FusedPipelineTest, StatsRegisteredAgainstFusedPlanAreAttributed) {
 TEST_F(FusedPipelineTest, StatsOnUnfusedPlanDisableAdoption) {
   // Caller registered stats against the raw plan: the runner must keep the
   // unfused plan rather than orphan the attribution.
-  KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/true);
-  EngineContext ctx(TestConfig(), db_);
+  DopScope scope(2, 256);
+  EngineContext ctx(FusionConfig(true), db_);
   StrategyRunner runner(&ctx, Strategy::kCpuOnly);
   PlanNodePtr plan = StarPlan();
   QueryStatsPtr stats = MakeQueryStats(plan);
@@ -509,6 +421,43 @@ TEST_F(FusedPipelineTest, StatsOnUnfusedPlanDisableAdoption) {
   NodeStats* root = stats->Find(plan.get());
   ASSERT_NE(root, nullptr);
   EXPECT_GE(root->rows_out.load(), 0);  // the raw plan actually ran
+}
+
+TEST_F(FusedPipelineTest, FusionIsPerContextUnderConcurrency) {
+  // Two contexts over one database, fusion off in one and on in the other,
+  // run the same plan at the same time: each follows its own setting.
+  DopScope scope(2, 256);
+  const PlanNodePtr plan = StarPlan();
+  struct Runs {
+    std::vector<TablePtr> results;
+    size_t fused_nodes = 0;  // summed over every run's QueryStats
+  };
+  auto run = [&plan](EngineContext* ctx, Runs* runs) {
+    StrategyRunner runner(ctx, Strategy::kDataDrivenChopping);
+    for (int i = 0; i < 20; ++i) {
+      auto stats = std::make_shared<QueryStats>();
+      Result<TablePtr> result = runner.RunQuery(plan, stats);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      runs->results.push_back(result.ok() ? result.value() : nullptr);
+      for (const auto& node : stats->nodes()) {
+        if (node->op == "fused_pipeline") ++runs->fused_nodes;
+      }
+    }
+  };
+  EngineContext unfused_ctx(FusionConfig(false), db_);
+  EngineContext fused_ctx(FusionConfig(true), db_);
+  Runs unfused, fused;
+  std::thread unfused_thread(run, &unfused_ctx, &unfused);
+  std::thread fused_thread(run, &fused_ctx, &fused);
+  unfused_thread.join();
+  fused_thread.join();
+
+  EXPECT_EQ(unfused.fused_nodes, 0u);
+  EXPECT_EQ(fused.fused_nodes, fused.results.size());
+  ASSERT_EQ(unfused.results.size(), fused.results.size());
+  for (size_t i = 0; i < fused.results.size(); ++i) {
+    ExpectBitIdenticalTables(unfused.results[i], fused.results[i]);
+  }
 }
 
 TEST_F(FusedPipelineTest, StaticValidationDeclinesUnknownColumns) {
@@ -521,19 +470,8 @@ TEST_F(FusedPipelineTest, StaticValidationDeclinesUnknownColumns) {
       bad_select, std::vector<std::string>{"fk"},
       std::vector<AggregateSpec>{{AggregateFn::kSum, "v", "total"}});
   EXPECT_EQ(CountFusedNodes(FusePipelines(agg)), 0u);
-  Status unfused_status, fused_status;
-  {
-    KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/false);
-    EngineContext ctx(TestConfig(), db_);
-    StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-    unfused_status = runner.RunQuery(agg).status();
-  }
-  {
-    KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/true);
-    EngineContext ctx(TestConfig(), db_);
-    StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-    fused_status = runner.RunQuery(agg).status();
-  }
+  const Status unfused_status = CpuOnlyStatus(db_, agg, /*fusion=*/false);
+  const Status fused_status = CpuOnlyStatus(db_, agg, /*fusion=*/true);
   EXPECT_FALSE(unfused_status.ok());
   EXPECT_FALSE(fused_status.ok());
   EXPECT_EQ(unfused_status.code(), fused_status.code());
@@ -555,19 +493,8 @@ TEST_F(FusedPipelineTest, RuntimeReplayPreservesQueryErrors) {
       "key", "fk", spec);
   PlanNodePtr fused_plan = FusePipelines(join);
   ASSERT_EQ(CountFusedNodes(fused_plan), 1u);  // fuses, replays at runtime
-  Status unfused_status, fused_status;
-  {
-    KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/false);
-    EngineContext ctx(TestConfig(), db_);
-    StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-    unfused_status = runner.RunQuery(join).status();
-  }
-  {
-    KernelScope scope(KernelBackend::kMorselParallel, 2, 256, /*fusion=*/true);
-    EngineContext ctx(TestConfig(), db_);
-    StrategyRunner runner(&ctx, Strategy::kCpuOnly);
-    fused_status = runner.RunQuery(join).status();
-  }
+  const Status unfused_status = CpuOnlyStatus(db_, join, /*fusion=*/false);
+  const Status fused_status = CpuOnlyStatus(db_, join, /*fusion=*/true);
   EXPECT_FALSE(unfused_status.ok());
   EXPECT_FALSE(fused_status.ok());
   EXPECT_EQ(unfused_status.code(), fused_status.code());

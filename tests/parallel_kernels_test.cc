@@ -1,111 +1,27 @@
-// Parity tests for the morsel-parallel kernel backend: every kernel must
-// produce byte-identical output to the scalar reference backend, across
+// Parity tests for the morsel-parallel kernels: every kernel must produce
+// byte-identical output to its row-at-a-time reference
+// (EvaluateFilterReference, HashJoinReference, AggregateReference), across
 // worker counts and adversarial inputs (DESIGN.md §5 invariant — placement
-// and now parallelism substitute *timing*, never results). Also covers the
+// and parallelism substitute *timing*, never results). Also covers the
 // morsel scheduler (ParallelFor, DopBudget) directly. The whole binary runs
 // under the TSan CI job, so these tests double as race detection for the
 // task arena and the parallel kernels.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "common/config.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "operators/kernels.h"
 #include "telemetry/telemetry.h"
+#include "tests/test_util.h"
 
 namespace hetdb {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Backend scope guard
-// ---------------------------------------------------------------------------
-
-/// Applies a kernel backend + DoP configuration for one scope. The DopBudget
-/// capacity is raised to the requested thread count so the arena really runs
-/// that many workers even on a single-core CI machine.
-class BackendScope {
- public:
-  BackendScope(KernelBackend backend, int threads, size_t morsel_rows)
-      : saved_(GlobalKernelConfig()),
-        saved_capacity_(DopBudget::Global().capacity()) {
-    GlobalKernelConfig().backend = backend;
-    GlobalKernelConfig().max_dop = threads;
-    GlobalKernelConfig().morsel_rows = morsel_rows;
-    DopBudget::Global().SetCapacity(threads);
-  }
-  ~BackendScope() {
-    GlobalKernelConfig() = saved_;
-    DopBudget::Global().SetCapacity(saved_capacity_);
-  }
-
- private:
-  KernelConfig saved_;
-  int saved_capacity_;
-};
-
-std::vector<int> ThreadCounts() {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return {1, 2, 7, hw > 0 ? hw : 4};
-}
-
-// ---------------------------------------------------------------------------
-// Byte-identical table comparison
-// ---------------------------------------------------------------------------
-
-/// Compares raw value storage: numeric vectors via memcmp (doubles compared
-/// bitwise, so +0.0 vs -0.0 or NaN payload differences fail), string columns
-/// via codes plus dictionary.
-template <typename T>
-void ExpectBitIdenticalValues(const std::vector<T>& a, const std::vector<T>& b,
-                              const std::string& col) {
-  ASSERT_EQ(a.size(), b.size()) << "row count of column " << col;
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
-        << "values of column " << col;
-  }
-}
-
-void ExpectBitIdenticalTables(const Table& a, const Table& b) {
-  ASSERT_EQ(a.columns().size(), b.columns().size());
-  for (size_t c = 0; c < a.columns().size(); ++c) {
-    const Column& ca = *a.columns()[c];
-    const Column& cb = *b.columns()[c];
-    EXPECT_EQ(ca.name(), cb.name());
-    ASSERT_EQ(ca.type(), cb.type()) << "type of column " << ca.name();
-    switch (ca.type()) {
-      case DataType::kInt32:
-        ExpectBitIdenticalValues(static_cast<const Int32Column&>(ca).values(),
-                                 static_cast<const Int32Column&>(cb).values(),
-                                 ca.name());
-        break;
-      case DataType::kInt64:
-        ExpectBitIdenticalValues(static_cast<const Int64Column&>(ca).values(),
-                                 static_cast<const Int64Column&>(cb).values(),
-                                 ca.name());
-        break;
-      case DataType::kDouble:
-        ExpectBitIdenticalValues(static_cast<const DoubleColumn&>(ca).values(),
-                                 static_cast<const DoubleColumn&>(cb).values(),
-                                 ca.name());
-        break;
-      case DataType::kString: {
-        const auto& sa = static_cast<const StringColumn&>(ca);
-        const auto& sb = static_cast<const StringColumn&>(cb);
-        EXPECT_EQ(sa.dictionary(), sb.dictionary())
-            << "dictionary of column " << ca.name();
-        ExpectBitIdenticalValues(sa.codes(), sb.codes(), ca.name());
-        break;
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Test data
@@ -173,22 +89,22 @@ TablePtr MakeDimTable(size_t rows, uint64_t seed, bool all_duplicate_keys) {
   return table;
 }
 
-// Runs `body` under the scalar backend, then under the parallel backend for
-// every thread count, comparing results.
+// Runs `body(/*reference=*/true)` at DoP 1, then `body(false)` — the
+// morsel-parallel kernels — at every thread count, comparing results.
 template <typename Fn>
-void ExpectBackendParity(Fn body) {
-  TablePtr scalar_result;
+void ExpectReferenceParity(Fn body) {
+  TablePtr reference_result;
   {
-    BackendScope scope(KernelBackend::kScalar, 1, kTestMorsel);
-    scalar_result = body();
+    DopScope scope(1, kTestMorsel);
+    reference_result = body(true);
   }
-  ASSERT_NE(scalar_result, nullptr);
+  ASSERT_NE(reference_result, nullptr);
   for (int threads : ThreadCounts()) {
-    BackendScope scope(KernelBackend::kMorselParallel, threads, kTestMorsel);
-    TablePtr parallel_result = body();
+    DopScope scope(threads, kTestMorsel);
+    TablePtr parallel_result = body(false);
     ASSERT_NE(parallel_result, nullptr) << "threads=" << threads;
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectBitIdenticalTables(*scalar_result, *parallel_result);
+    ExpectBitIdenticalTables(reference_result, parallel_result);
   }
 }
 
@@ -196,13 +112,16 @@ void ExpectBackendParity(Fn body) {
 // Filter parity
 // ---------------------------------------------------------------------------
 
-TablePtr RunFilter(const Table& input, const ConjunctiveFilter& filter) {
-  Result<std::vector<uint32_t>> rows = EvaluateFilter(input, filter);
-  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-  if (!rows.ok()) return nullptr;
-  Result<TablePtr> out = GatherRows(input, rows.value(), "filtered");
-  EXPECT_TRUE(out.ok());
-  return out.ok() ? out.value() : nullptr;
+void ExpectFilterParity(const Table& input, const ConjunctiveFilter& filter) {
+  ExpectReferenceParity([&](bool reference) -> TablePtr {
+    Result<std::vector<uint32_t>> rows =
+        (reference ? EvaluateFilterReference : EvaluateFilter)(input, filter);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok()) return nullptr;
+    Result<TablePtr> out = GatherRows(input, rows.value(), "filtered");
+    EXPECT_TRUE(out.ok());
+    return out.ok() ? out.value() : nullptr;
+  });
 }
 
 TEST(ParallelFilterParity, CnfWithDisjunctionsAndStrings) {
@@ -215,50 +134,39 @@ TEST(ParallelFilterParity, CnfWithDisjunctionsAndStrings) {
       Disjunction{Predicate::Lt("city", "cairo"),
                   Predicate::Ge("city", "eugene")});
   filter.conjuncts.push_back(Disjunction(Predicate::Gt("price", -250.0)));
-  ExpectBackendParity([&] { return RunFilter(*fact, filter); });
+  ExpectFilterParity(*fact, filter);
 }
 
 TEST(ParallelFilterParity, EmptyAllMatchAndEmptyInput) {
   TablePtr fact = MakeFactTable(5'000, 2);
-  ExpectBackendParity([&] {  // no row qualifies
-    return RunFilter(*fact,
-                     ConjunctiveFilter::And({Predicate::Gt("quantity",
-                                                           int64_t{100})}));
-  });
-  ExpectBackendParity([&] {  // every row qualifies
-    return RunFilter(*fact,
-                     ConjunctiveFilter::And({Predicate::Ge("quantity",
-                                                           int64_t{0})}));
-  });
-  ExpectBackendParity([&] {  // empty filter keeps everything
-    return RunFilter(*fact, ConjunctiveFilter{});
-  });
+  ExpectFilterParity(  // no row qualifies
+      *fact,
+      ConjunctiveFilter::And({Predicate::Gt("quantity", int64_t{100})}));
+  ExpectFilterParity(  // every row qualifies
+      *fact, ConjunctiveFilter::And({Predicate::Ge("quantity", int64_t{0})}));
+  ExpectFilterParity(*fact, ConjunctiveFilter{});  // keeps everything
   TablePtr empty = MakeFactTable(0, 3);
-  ExpectBackendParity([&] {
-    return RunFilter(*empty, ConjunctiveFilter::And(
-                                 {Predicate::Eq("quantity", int64_t{1})}));
-  });
+  ExpectFilterParity(
+      *empty, ConjunctiveFilter::And({Predicate::Eq("quantity", int64_t{1})}));
 }
 
-TEST(ParallelFilterParity, ErrorsMatchScalarBackend) {
+TEST(ParallelFilterParity, ErrorsMatchReference) {
   TablePtr fact = MakeFactTable(100, 4);
   const ConjunctiveFilter bad_column =
       ConjunctiveFilter::And({Predicate::Eq("missing", int64_t{1})});
   const ConjunctiveFilter bad_constant =
       ConjunctiveFilter::And({Predicate::Eq("city", int64_t{1})});
   for (const ConjunctiveFilter* filter : {&bad_column, &bad_constant}) {
-    Status scalar_status, parallel_status;
+    const Status reference_status =
+        EvaluateFilterReference(*fact, *filter).status();
+    Status parallel_status;
     {
-      BackendScope scope(KernelBackend::kScalar, 1, kTestMorsel);
-      scalar_status = EvaluateFilter(*fact, *filter).status();
-    }
-    {
-      BackendScope scope(KernelBackend::kMorselParallel, 4, kTestMorsel);
+      DopScope scope(4, kTestMorsel);
       parallel_status = EvaluateFilter(*fact, *filter).status();
     }
-    EXPECT_FALSE(scalar_status.ok());
-    EXPECT_EQ(scalar_status.code(), parallel_status.code());
-    EXPECT_EQ(scalar_status.ToString(), parallel_status.ToString());
+    EXPECT_FALSE(reference_status.ok());
+    EXPECT_EQ(reference_status.code(), parallel_status.code());
+    EXPECT_EQ(reference_status.ToString(), parallel_status.ToString());
   }
 }
 
@@ -266,21 +174,30 @@ TEST(ParallelFilterParity, ErrorsMatchScalarBackend) {
 // Hash join parity
 // ---------------------------------------------------------------------------
 
-TablePtr RunJoin(const Table& build, const Table& probe) {
+void ExpectJoinParity(const Table& build, const std::string& build_key,
+                      const Table& probe, const std::string& probe_key,
+                      const JoinOutputSpec& spec) {
+  ExpectReferenceParity([&](bool reference) -> TablePtr {
+    Result<TablePtr> out = (reference ? HashJoinReference : HashJoin)(
+        build, build_key, probe, probe_key, spec, "joined");
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? out.value() : nullptr;
+  });
+}
+
+/// dim(d_key) joined with fact(key), payload columns from both sides.
+void ExpectStarJoinParity(const Table& dim, const Table& fact) {
   JoinOutputSpec spec;
   spec.build_columns = {"d_weight", "d_key"};
   spec.probe_columns = {"revenue", "key"};
   spec.probe_aliases = {"revenue", "fact_key"};
-  Result<TablePtr> out =
-      HashJoin(build, "d_key", probe, "key", spec, "joined");
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  return out.ok() ? out.value() : nullptr;
+  ExpectJoinParity(dim, "d_key", fact, "key", spec);
 }
 
 TEST(ParallelJoinParity, PkFkJoin) {
   TablePtr dim = MakeDimTable(200, 10, /*all_duplicate_keys=*/false);
   TablePtr fact = MakeFactTable(10'000, 11);
-  ExpectBackendParity([&] { return RunJoin(*dim, *fact); });
+  ExpectStarJoinParity(*dim, *fact);
 }
 
 TEST(ParallelJoinParity, AllDuplicateBuildKeys) {
@@ -288,7 +205,7 @@ TEST(ParallelJoinParity, AllDuplicateBuildKeys) {
   // in ascending build-row order.
   TablePtr dim = MakeDimTable(50, 12, /*all_duplicate_keys=*/true);
   TablePtr fact = MakeFactTable(2'000, 13);
-  ExpectBackendParity([&] { return RunJoin(*dim, *fact); });
+  ExpectStarJoinParity(*dim, *fact);
 }
 
 TEST(ParallelJoinParity, EmptySides) {
@@ -296,8 +213,8 @@ TEST(ParallelJoinParity, EmptySides) {
   TablePtr empty_fact = MakeFactTable(0, 15);
   TablePtr dim = MakeDimTable(100, 16, false);
   TablePtr fact = MakeFactTable(1'000, 17);
-  ExpectBackendParity([&] { return RunJoin(*empty_dim, *fact); });
-  ExpectBackendParity([&] { return RunJoin(*dim, *empty_fact); });
+  ExpectStarJoinParity(*empty_dim, *fact);
+  ExpectStarJoinParity(*dim, *empty_fact);
 }
 
 TEST(ParallelJoinParity, Int64KeysWithNegativeValues) {
@@ -325,11 +242,7 @@ TEST(ParallelJoinParity, Int64KeysWithNegativeValues) {
   JoinOutputSpec spec;
   spec.build_columns = {"bk"};
   spec.probe_columns = {"v", "pk"};
-  ExpectBackendParity([&]() -> TablePtr {
-    Result<TablePtr> out = HashJoin(*build, "bk", *probe, "pk", spec, "j");
-    EXPECT_TRUE(out.ok());
-    return out.ok() ? out.value() : nullptr;
-  });
+  ExpectJoinParity(*build, "bk", *probe, "pk", spec);
 }
 
 TEST(ParallelJoinParity, SparseKeysUsePartitionedHashPath) {
@@ -369,23 +282,22 @@ TEST(ParallelJoinParity, SparseKeysUsePartitionedHashPath) {
   JoinOutputSpec spec;
   spec.build_columns = {"bk"};
   spec.probe_columns = {"v"};
-  ExpectBackendParity([&]() -> TablePtr {
-    Result<TablePtr> out = HashJoin(*build, "bk", *probe, "pk", spec, "j");
-    EXPECT_TRUE(out.ok());
-    return out.ok() ? out.value() : nullptr;
-  });
+  ExpectJoinParity(*build, "bk", *probe, "pk", spec);
 }
 
 // ---------------------------------------------------------------------------
 // Aggregate parity
 // ---------------------------------------------------------------------------
 
-TablePtr RunAggregate(const Table& input,
-                      const std::vector<std::string>& group_by,
-                      const std::vector<AggregateSpec>& aggregates) {
-  Result<TablePtr> out = Aggregate(input, group_by, aggregates, "agg");
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  return out.ok() ? out.value() : nullptr;
+void ExpectAggregateParity(const Table& input,
+                           const std::vector<std::string>& group_by,
+                           const std::vector<AggregateSpec>& aggregates) {
+  ExpectReferenceParity([&](bool reference) -> TablePtr {
+    Result<TablePtr> out = (reference ? AggregateReference : Aggregate)(
+        input, group_by, aggregates, "agg");
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? out.value() : nullptr;
+  });
 }
 
 std::vector<AggregateSpec> AllAggregates() {
@@ -401,15 +313,12 @@ std::vector<AggregateSpec> AllAggregates() {
 
 TEST(ParallelAggregateParity, GroupByStringColumn) {
   TablePtr fact = MakeFactTable(10'000, 20);
-  ExpectBackendParity(
-      [&] { return RunAggregate(*fact, {"city"}, AllAggregates()); });
+  ExpectAggregateParity(*fact, {"city"}, AllAggregates());
 }
 
 TEST(ParallelAggregateParity, MultiColumnPackedKey) {
   TablePtr fact = MakeFactTable(10'000, 21);
-  ExpectBackendParity([&] {
-    return RunAggregate(*fact, {"city", "discount", "key"}, AllAggregates());
-  });
+  ExpectAggregateParity(*fact, {"city", "discount", "key"}, AllAggregates());
 }
 
 TEST(ParallelAggregateParity, SingleGroupAndNoGroupBy) {
@@ -419,10 +328,8 @@ TEST(ParallelAggregateParity, SingleGroupAndNoGroupBy) {
   ASSERT_TRUE(
       fact->AddColumn(std::make_shared<Int32Column>("one", std::move(ones)))
           .ok());
-  ExpectBackendParity(
-      [&] { return RunAggregate(*fact, {"one"}, AllAggregates()); });
-  ExpectBackendParity(
-      [&] { return RunAggregate(*fact, {}, AllAggregates()); });
+  ExpectAggregateParity(*fact, {"one"}, AllAggregates());
+  ExpectAggregateParity(*fact, {}, AllAggregates());
 }
 
 TEST(ParallelAggregateParity, AllDistinctGroups) {
@@ -442,17 +349,15 @@ TEST(ParallelAggregateParity, AllDistinctGroups) {
   for (double& x : v) x = rng.NextDouble();
   ASSERT_TRUE(table->AddColumn(std::make_shared<DoubleColumn>("v", std::move(v)))
                   .ok());
-  ExpectBackendParity([&] {
-    return RunAggregate(*table, {"id"},
-                        {{AggregateFn::kSum, "v", "sv"},
-                         {AggregateFn::kCount, "", "c"}});
-  });
+  ExpectAggregateParity(
+      *table, {"id"},
+      {{AggregateFn::kSum, "v", "sv"}, {AggregateFn::kCount, "", "c"}});
 }
 
-TEST(ParallelAggregateParity, WideKeyFallsBackToScalar) {
+TEST(ParallelAggregateParity, WideKeyFallsBackToReference) {
   // Two full-range int64 key columns cannot pack into 64 bits; the parallel
-  // backend must detect this and fall back (results identical by definition,
-  // but the path must not crash or truncate keys).
+  // kernel must detect this and fall back to AggregateReference (results
+  // identical by definition, but the path must not crash or truncate keys).
   const size_t rows = 4'000;
   Rng rng(24);
   std::vector<int64_t> a(rows), b(rows), v(rows);
@@ -472,17 +377,14 @@ TEST(ParallelAggregateParity, WideKeyFallsBackToScalar) {
                   .ok());
   ASSERT_TRUE(table->AddColumn(std::make_shared<Int64Column>("v", std::move(v)))
                   .ok());
-  ExpectBackendParity([&] {
-    return RunAggregate(*table, {"a", "b"},
-                        {{AggregateFn::kSum, "v", "sv"},
-                         {AggregateFn::kMin, "v", "mv"}});
-  });
+  ExpectAggregateParity(
+      *table, {"a", "b"},
+      {{AggregateFn::kSum, "v", "sv"}, {AggregateFn::kMin, "v", "mv"}});
 }
 
 TEST(ParallelAggregateParity, EmptyInput) {
   TablePtr empty = MakeFactTable(0, 25);
-  ExpectBackendParity(
-      [&] { return RunAggregate(*empty, {"city"}, AllAggregates()); });
+  ExpectAggregateParity(*empty, {"city"}, AllAggregates());
 }
 
 // ---------------------------------------------------------------------------
@@ -490,7 +392,7 @@ TEST(ParallelAggregateParity, EmptyInput) {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelForTest, EveryMorselExactlyOnceAndAligned) {
-  BackendScope scope(KernelBackend::kMorselParallel, 7, 64);
+  DopScope scope(7, 64);
   const size_t total = 64 * 37 + 13;  // ragged tail
   std::vector<std::atomic<int>> seen(total);
   for (auto& s : seen) s.store(0);
@@ -510,7 +412,7 @@ TEST(ParallelForTest, EveryMorselExactlyOnceAndAligned) {
 }
 
 TEST(ParallelForTest, NestedCallsRunSerial) {
-  BackendScope scope(KernelBackend::kMorselParallel, 8, 16);
+  DopScope scope(8, 16);
   std::mutex mu;
   std::set<std::thread::id> inner_threads;
   ParallelFor(256, 16, [&](size_t, size_t, int) {
@@ -526,7 +428,7 @@ TEST(ParallelForTest, NestedCallsRunSerial) {
 }
 
 TEST(ParallelForTest, ZeroAndTinyInputs) {
-  BackendScope scope(KernelBackend::kMorselParallel, 8, 1024);
+  DopScope scope(8, 1024);
   int calls = 0;
   EXPECT_EQ(ParallelFor(0, 1024, [&](size_t, size_t, int) { ++calls; }), 1);
   EXPECT_EQ(calls, 0);
@@ -570,7 +472,7 @@ TEST(KernelMetricsTest, ParallelRunsAreCounted) {
   const int64_t invocations_before = invocations.value();
   const int64_t morsels_before = morsels.value();
 
-  BackendScope scope(KernelBackend::kMorselParallel, 2, 128);
+  DopScope scope(2, 128);
   TablePtr fact = MakeFactTable(2'000, 30);
   ASSERT_TRUE(
       EvaluateFilter(*fact, ConjunctiveFilter::And(

@@ -472,6 +472,40 @@ TEST_F(ServerTest, TrafficDriverClosedLoopCompletesQueries) {
   EXPECT_FALSE(result.ToJson().empty());
 }
 
+TEST_F(ServerTest, TrafficDriverFusionFollowsTheContext) {
+  // Both traffic loops submit the raw plan: the server's runner alone
+  // decides fusion, from the context it serves.
+  TenantTraffic tenant;
+  tenant.name = "fusion";
+  tenant.arrival_qps = 50;
+  tenant.sessions = 1;
+  tenant.mix = {{"by_year", [](const Database& db) {
+                   return PlanSql(
+                       "SELECT d_year, sum(lo_revenue) AS revenue FROM "
+                       "lineorder, date WHERE lo_orderdate = d_datekey "
+                       "GROUP BY d_year",
+                       db);
+                 }}};
+  Counter& pipelines =
+      GlobalKernelMetrics().GetCounter("kernel.fused_pipeline.invocations");
+  for (const bool fusion : {false, true}) {
+    for (const auto mode : {TrafficOptions::Mode::kOpenLoop,
+                            TrafficOptions::Mode::kClosedLoop}) {
+      SystemConfig config = TestConfig();
+      config.fusion = fusion;
+      EngineContext ctx(config, db_);
+      Server server(&ctx);
+      TrafficOptions options;
+      options.mode = mode;
+      options.duration_s = 0.2;
+      const int64_t before = pipelines.value();
+      EXPECT_GT(RunTraffic(server, {tenant}, options).completed, 0u);
+      EXPECT_EQ(pipelines.value() > before, fusion)
+          << "mode " << static_cast<int>(mode);
+    }
+  }
+}
+
 /// One socketpair connection served by `front_door.Serve` on its own thread;
 /// the test speaks the client side line by line.
 class LineProtocolClient {

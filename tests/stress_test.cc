@@ -124,10 +124,10 @@ TEST(StressTest, InjectedFailuresAreCountedAsAborts) {
   // This test counts one abort per plan operator, so run the plan as-is:
   // fusion would collapse the chain into a single schedulable node (its
   // abort accounting is covered by tests/fused_pipeline_test.cc).
-  const bool saved_fusion = GlobalKernelConfig().fusion;
-  GlobalKernelConfig().fusion = false;
   DatabasePtr db = StressDb();
-  EngineContext ctx(SingleDeviceConfig(), db);
+  SystemConfig config = SingleDeviceConfig();
+  config.fusion = false;
+  EngineContext ctx(config, db);
   StrategyRunner runner(&ctx, Strategy::kGpuOnly);
   // Keep the breaker out of the arithmetic: a tripped breaker would
   // short-circuit later operators to the CPU without counting an abort.
@@ -150,7 +150,6 @@ TEST(StressTest, InjectedFailuresAreCountedAsAborts) {
   EXPECT_EQ(ctx.metrics().gpu_operator_aborts(),
             CountPlanNodes(plan.value()) - scans);
   EXPECT_EQ(ctx.metrics().gpu_operators(), scans);
-  GlobalKernelConfig().fusion = saved_fusion;
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/config.h"
+#include "common/parallel.h"
 #include "storage/database.h"
 
 namespace hetdb {
@@ -82,6 +86,64 @@ inline ::testing::AssertionResult TablesEqual(const Table& a, const Table& b) {
   return ::testing::AssertionSuccess();
 }
 
+/// Byte-identical comparison of raw value storage (doubles compared
+/// bitwise, so +0.0 vs -0.0 or a different FP accumulation order fails;
+/// string columns by codes plus dictionary).
+template <typename T>
+void ExpectBitIdenticalValues(const std::vector<T>& a, const std::vector<T>& b,
+                              const std::string& col) {
+  ASSERT_EQ(a.size(), b.size()) << "row count of column " << col;
+  if (!a.empty()) {
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
+        << "bytes of column " << col;
+  }
+}
+
+inline void ExpectBitIdenticalTables(const TablePtr& ta,
+                                     const TablePtr& tb) {
+  ASSERT_NE(ta, nullptr);
+  ASSERT_NE(tb, nullptr);
+  ASSERT_EQ(ta->num_columns(), tb->num_columns());
+  ASSERT_EQ(ta->num_rows(), tb->num_rows());
+  for (size_t c = 0; c < ta->num_columns(); ++c) {
+    const Column& ca = *ta->columns()[c];
+    const Column& cb = *tb->columns()[c];
+    EXPECT_EQ(ca.name(), cb.name());
+    ASSERT_EQ(ca.type(), cb.type()) << "type of column " << ca.name();
+    switch (ca.type()) {
+      case DataType::kInt32:
+        ExpectBitIdenticalValues(static_cast<const Int32Column&>(ca).values(),
+                                 static_cast<const Int32Column&>(cb).values(),
+                                 ca.name());
+        break;
+      case DataType::kInt64:
+        ExpectBitIdenticalValues(static_cast<const Int64Column&>(ca).values(),
+                                 static_cast<const Int64Column&>(cb).values(),
+                                 ca.name());
+        break;
+      case DataType::kDouble:
+        ExpectBitIdenticalValues(static_cast<const DoubleColumn&>(ca).values(),
+                                 static_cast<const DoubleColumn&>(cb).values(),
+                                 ca.name());
+        break;
+      case DataType::kString: {
+        const auto& sa = static_cast<const StringColumn&>(ca);
+        const auto& sb = static_cast<const StringColumn&>(cb);
+        EXPECT_EQ(sa.dictionary(), sb.dictionary())
+            << "dictionary of column " << ca.name();
+        ExpectBitIdenticalValues(sa.codes(), sb.codes(), ca.name());
+        break;
+      }
+    }
+  }
+}
+
+/// DoPs the parity suites sweep: serial, even, odd, and the whole host.
+inline std::vector<int> ThreadCounts() {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return {1, 2, 7, hw > 0 ? hw : 4};
+}
+
 /// Tiny star-shaped database for engine tests: fact(fk, v) x 1000 rows,
 /// dim(key, name) x 10 rows.
 inline DatabasePtr MakeTinyDb() {
@@ -112,6 +174,29 @@ inline DatabasePtr MakeTinyDb() {
   EXPECT_TRUE(db->AddTable(dim).ok());
   return db;
 }
+
+/// Sets the DopBudget capacity and the morsel size for one scope. The
+/// capacity is raised to the requested thread count so the arena really runs
+/// that many workers even on a single-core CI machine.
+class DopScope {
+ public:
+  DopScope(int threads, size_t morsel_rows)
+      : saved_capacity_(DopBudget::Global().capacity()),
+        saved_morsel_rows_(MorselRows()) {
+    DopBudget::Global().SetCapacity(threads);
+    SetMorselRows(morsel_rows);
+  }
+  ~DopScope() {
+    DopBudget::Global().SetCapacity(saved_capacity_);
+    SetMorselRows(saved_morsel_rows_);
+  }
+  DopScope(const DopScope&) = delete;
+  DopScope& operator=(const DopScope&) = delete;
+
+ private:
+  int saved_capacity_;
+  size_t saved_morsel_rows_;
+};
 
 /// Engine configuration for unit tests: no sleeps, roomy device.
 inline SystemConfig TestConfig() {

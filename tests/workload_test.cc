@@ -2,6 +2,8 @@
 
 #include "common/config.h"
 #include "ssb/ssb_generator.h"
+#include "ssb/ssb_queries.h"
+#include "telemetry/telemetry.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
 
@@ -114,6 +116,39 @@ TEST(WorkloadDriverTest, WarmupTrainsPlacementBeforeMeasurement) {
   EXPECT_EQ(result.gpu_aborts, 0u);
 }
 
+TEST(WorkloadDriverTest, FusionFollowsTheContextAndTheBrownoutCap) {
+  // Q2.1 fuses into one 3-join pipeline. RunWorkload takes fusion from the
+  // context and honours brownout L1, which allows single-join fusion only
+  // (DESIGN.md §13): then the three joins run as hash-join kernels.
+  DatabasePtr db = SmallSsbDb();
+  Result<NamedQuery> q21 = SsbQueryByName("Q2.1");
+  ASSERT_TRUE(q21.ok());
+  WorkloadRunOptions once;  // Q2.1 runs exactly once
+  once.warmup_repetitions = 0;
+  MetricRegistry& kernels = GlobalKernelMetrics();
+  Counter& joins = kernels.GetCounter("kernel.hash_join.invocations");
+  Counter& pipelines = kernels.GetCounter("kernel.fused_pipeline.invocations");
+  struct Case {
+    bool fusion, l1;
+    int64_t joins, pipelines;
+  };
+  for (const Case& c : {Case{false, false, 3, 0}, Case{true, false, 0, 1},
+                        Case{true, true, 3, 0}}) {
+    SCOPED_TRACE(std::string(c.fusion ? "fusion on" : "fusion off") +
+                 (c.l1 ? ", L1" : ", L0"));
+    SystemConfig config = SingleDeviceConfig();
+    config.fusion = c.fusion;
+    EngineContext ctx(config, db);
+    if (c.l1) ctx.brownout().ForceLevel(BrownoutLevel::kL1);
+    StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+    const int64_t joins_before = joins.value();
+    const int64_t pipelines_before = pipelines.value();
+    EXPECT_EQ(RunWorkload(runner, {q21.value()}, once).failed_queries, 0u);
+    EXPECT_EQ(joins.value() - joins_before, c.joins);
+    EXPECT_EQ(pipelines.value() - pipelines_before, c.pipelines);
+  }
+}
+
 /// The paper's core robustness claim, as a unit test: with a heap too small
 /// for the concurrent operator footprint, GPU-only thrashes with aborts;
 /// chopping (1 device worker) avoids them; and both produce correct results.
@@ -122,10 +157,9 @@ TEST(RobustnessTest, ChoppingAvoidsHeapContentionAborts) {
   // intermediate selection-vector footprint entirely (zero heap charge for
   // filter-only pipelines — see the fusion ablation in EXPERIMENTS.md), so
   // with fusion on there is no contention left to measure.
-  const bool saved_fusion = GlobalKernelConfig().fusion;
-  GlobalKernelConfig().fusion = false;
   DatabasePtr db = SmallSsbDb();
   SystemConfig config = SingleDeviceConfig();
+  config.fusion = false;
   // Operators must genuinely overlap for contention to occur, so this test
   // runs with time simulation on (sub-millisecond modeled durations).
   config.simulate_time = true;
@@ -158,7 +192,6 @@ TEST(RobustnessTest, ChoppingAvoidsHeapContentionAborts) {
   }
   EXPECT_GT(aborts_gpu_only, 0u);
   EXPECT_LT(aborts_chopping, aborts_gpu_only);
-  GlobalKernelConfig().fusion = saved_fusion;
 }
 
 TEST(WorkloadResultTest, ToStringMentionsKeyFields) {
