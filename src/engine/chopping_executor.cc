@@ -42,7 +42,8 @@ uint64_t PlanTemplateFingerprint(const PlanNode& root) {
 ChoppingExecutor::ChoppingExecutor(EngineContext* ctx, int cpu_workers,
                                    int gpu_workers)
     : ctx_(ctx), cpu_workers_(cpu_workers), gpu_workers_(gpu_workers) {
-  HETDB_CHECK(cpu_workers_ > 0 && gpu_workers_ > 0);
+  HETDB_CHECK((cpu_workers_ > 0 && gpu_workers_ > 0) ||
+              (cpu_workers_ == 0 && gpu_workers_ == 0));
   const int devices = ctx_->device_count();
   ready_queues_.resize(1 + static_cast<size_t>(devices));
   workers_.reserve(cpu_workers_ + gpu_workers_ * devices);
@@ -89,9 +90,8 @@ ChoppingExecutor::~ChoppingExecutor() {
   }
 }
 
-std::future<Result<TablePtr>> ChoppingExecutor::Submit(PlanNodePtr root,
-                                                       RuntimePlacer placer,
-                                                       QueryControls controls) {
+ChoppingExecutor::QueryExecPtr ChoppingExecutor::StartQuery(
+    PlanNodePtr root, RuntimePlacer placer, QueryControls controls) {
   auto query = std::make_shared<QueryExec>();
   query->root = std::move(root);
   query->placer = std::move(placer);
@@ -118,6 +118,35 @@ std::future<Result<TablePtr>> ChoppingExecutor::Submit(PlanNodePtr root,
   ctx_->watchdog().Register(query->query_id, query->stats,
                             query->controls.cancel, query->controls.deadline,
                             query->controls.has_deadline());
+
+  // Build the task graph (one task per operator).
+  struct Builder {
+    QueryExec* query;
+    OpTask* Build(const PlanNodePtr& node, OpTask* parent) {
+      query->tasks.push_back(std::make_unique<OpTask>());
+      OpTask* task = query->tasks.back().get();
+      task->node = node.get();
+      task->parent = parent;
+      task->stats = query->stats->Find(node.get());
+      task->pending_children.store(static_cast<int>(node->children().size()),
+                                   std::memory_order_relaxed);
+      for (const PlanNodePtr& child : node->children()) {
+        task->children.push_back(Build(child, task));
+      }
+      return task;
+    }
+  };
+  Builder builder{query.get()};
+  builder.Build(query->root, nullptr);
+  return query;
+}
+
+std::future<Result<TablePtr>> ChoppingExecutor::Submit(PlanNodePtr root,
+                                                       RuntimePlacer placer,
+                                                       QueryControls controls) {
+  HETDB_CHECK(!workers_.empty());
+  QueryExecPtr query =
+      StartQuery(std::move(root), std::move(placer), std::move(controls));
   std::future<Result<TablePtr>> future = query->promise.get_future();
 
   {
@@ -135,27 +164,6 @@ std::future<Result<TablePtr>> ChoppingExecutor::Submit(PlanNodePtr root,
     }
   }
 
-  // Build the task graph (one task per operator).
-  struct Builder {
-    QueryExec* query;
-    OpTask* Build(const PlanNodePtr& node, OpTask* parent) {
-      query->tasks.push_back(std::make_unique<OpTask>());
-      OpTask* task = query->tasks.back().get();
-      task->query = query;
-      task->node = node.get();
-      task->parent = parent;
-      task->stats = query->stats->Find(node.get());
-      task->pending_children.store(static_cast<int>(node->children().size()),
-                                   std::memory_order_relaxed);
-      for (const PlanNodePtr& child : node->children()) {
-        task->children.push_back(Build(child, task));
-      }
-      return task;
-    }
-  };
-  Builder builder{query.get()};
-  builder.Build(query->root, nullptr);
-
   // Chop: all leaves enter the global operator stream immediately — they
   // have no dependencies (Figure 10).
   for (const auto& task : query->tasks) {
@@ -168,6 +176,40 @@ Result<TablePtr> ChoppingExecutor::ExecuteQuery(PlanNodePtr root,
                                                 RuntimePlacer placer,
                                                 QueryControls controls) {
   return Submit(std::move(root), std::move(placer), std::move(controls)).get();
+}
+
+Result<TablePtr> ChoppingExecutor::ExecuteInline(PlanNodePtr root,
+                                                 RuntimePlacer placer,
+                                                 QueryControls controls) {
+  QueryExecPtr query =
+      StartQuery(std::move(root), std::move(placer), std::move(controls));
+  std::future<Result<TablePtr>> future = query->promise.get_future();
+  // The walk settles the promise: the root's success or the first failure.
+  RunSubtree(query, query->tasks.front().get());
+  return future.get();
+}
+
+void ChoppingExecutor::RunSubtree(const QueryExecPtr& query, OpTask* task) {
+  if (task->children.size() <= 1) {
+    for (OpTask* child : task->children) RunSubtree(query, child);
+  } else {
+    // Inter-operator parallelism: an n-ary operator evaluates its subtrees
+    // concurrently.
+    std::vector<std::future<void>> subtrees;
+    subtrees.reserve(task->children.size());
+    for (OpTask* child : task->children) {
+      subtrees.push_back(std::async(std::launch::async, [this, &query, child] {
+        RunSubtree(query, child);
+      }));
+    }
+    for (std::future<void>& subtree : subtrees) subtree.get();
+  }
+  if (!CheckRunnable(query).ok()) {
+    ReleaseTaskInputs(task);
+    return;
+  }
+  PlaceTask(query, task);
+  RunOperator(query, task);
 }
 
 Status ChoppingExecutor::CheckRunnable(const QueryExecPtr& query) {
@@ -185,22 +227,19 @@ Status ChoppingExecutor::CheckRunnable(const QueryExecPtr& query) {
   return Status::OK();
 }
 
+std::vector<OperatorResult*> ChoppingExecutor::TaskInputs(const OpTask* task) {
+  std::vector<OperatorResult*> inputs;
+  inputs.reserve(task->children.size());
+  for (OpTask* child : task->children) inputs.push_back(&child->result);
+  return inputs;
+}
+
 void ChoppingExecutor::ReleaseTaskInputs(OpTask* task) {
   for (OpTask* child : task->children) child->result = OperatorResult();
 }
 
-void ChoppingExecutor::ScheduleTask(const QueryExecPtr& query, OpTask* task) {
-  if (!CheckRunnable(query).ok()) {
-    // This task is its children's sole consumer; free their device-held
-    // results now instead of when the QueryExec is destroyed.
-    ReleaseTaskInputs(task);
-    return;
-  }
-
-  std::vector<OperatorResult*> inputs;
-  inputs.reserve(task->children.size());
-  for (OpTask* child : task->children) inputs.push_back(&child->result);
-
+void ChoppingExecutor::PlaceTask(const QueryExecPtr& query, OpTask* task) {
+  const std::vector<OperatorResult*> inputs = TaskInputs(task);
   ProcessorKind kind = query->placer(*task->node, inputs, *ctx_);
   if (kind == ProcessorKind::kGpu &&
       (!query->device_allowed || ctx_->brownout().level_int() >= 3)) {
@@ -212,16 +251,10 @@ void ChoppingExecutor::ScheduleTask(const QueryExecPtr& query, OpTask* task) {
     ctx_->brownout().NoteCpuPin();
   }
 
-  size_t input_bytes = 0;
-  for (OperatorResult* input : inputs) input_bytes += input->table_bytes();
-  if (task->node->op() == PlanOp::kScan) {
-    input_bytes = task->node->InputBytes({});
-  }
-
   // Device-aware sharding: the placer decides CPU vs device, the sharding
   // policy decides *which* device — preferring wherever the inputs already
   // live, then affinity/round-robin to spread cold work. No admittable
-  // device demotes the operator to the CPU queue.
+  // device demotes the operator to the CPU.
   int device = 0;
   if (kind == ProcessorKind::kGpu) {
     std::vector<std::string> input_keys;
@@ -238,8 +271,8 @@ void ChoppingExecutor::ScheduleTask(const QueryExecPtr& query, OpTask* task) {
         resident_inputs.emplace_back(input->device, input->table_bytes());
       }
     }
-    const int picked = ctx_->sharding().PickDevice(
-        input_keys, resident_inputs, input_bytes, query->home_device);
+    const int picked = ctx_->sharding().PickDevice(input_keys, resident_inputs,
+                                                   query->home_device);
     if (picked < 0) {
       // No device admits work (breakers open or devices lost): the same
       // short-circuit ExecuteWithFallback would take, decided one layer
@@ -255,6 +288,26 @@ void ChoppingExecutor::ScheduleTask(const QueryExecPtr& query, OpTask* task) {
   }
   task->assigned = kind;
   task->device = device;
+}
+
+void ChoppingExecutor::ScheduleTask(const QueryExecPtr& query, OpTask* task) {
+  if (!CheckRunnable(query).ok()) {
+    // This task is its children's sole consumer; free their device-held
+    // results now instead of when the QueryExec is destroyed.
+    ReleaseTaskInputs(task);
+    return;
+  }
+  PlaceTask(query, task);
+  const ProcessorKind kind = task->assigned;
+  const int device = task->device;
+
+  size_t input_bytes = 0;
+  for (const OpTask* child : task->children) {
+    input_bytes += child->result.table_bytes();
+  }
+  if (task->node->op() == PlanOp::kScan) {
+    input_bytes = task->node->InputBytes({});
+  }
 
   // Track queue load for HyPE's completion-time estimates. The estimate
   // includes the kernel only; transfers are second-order for load purposes.
@@ -339,11 +392,19 @@ void ChoppingExecutor::RunTask(const QueryExecPtr& query, OpTask* task,
         task->stats);
   }
 
-  std::vector<OperatorResult*> inputs;
-  inputs.reserve(task->children.size());
-  for (OpTask* child : task->children) inputs.push_back(&child->result);
+  // Notify the parent; the last completing child inserts it into the stream
+  // (Figure 11).
+  if (RunOperator(query, task) && task->parent != nullptr &&
+      task->parent->pending_children.fetch_sub(
+          1, std::memory_order_acq_rel) == 1) {
+    ScheduleTask(query, task->parent);
+  }
+}
 
-  // Attribute everything this worker does for the operator — transfers,
+bool ChoppingExecutor::RunOperator(const QueryExecPtr& query, OpTask* task) {
+  const std::vector<OperatorResult*> inputs = TaskInputs(task);
+
+  // Attribute everything this thread does for the operator — transfers,
   // device allocations, cache loads, the root copy-back below — to the
   // query and its node slot.
   QueryStatsScope stats_scope(query->stats, task->stats);
@@ -356,26 +417,26 @@ void ChoppingExecutor::RunTask(const QueryExecPtr& query, OpTask* task,
                  task->parent != nullptr
                      ? reinterpret_cast<uint64_t>(task->parent->node)
                      : 0);
-    span.AddArg("requested", ProcessorKindToString(kind));
+    span.AddArg("requested", ProcessorKindToString(task->assigned));
   }
-  // Charge this worker's core against the shared DoP budget while the
-  // operator runs, so kernel-internal morsel parallelism on top of a busy
-  // chopping pool cannot oversubscribe the machine. Best effort: with no
-  // token available the operator still runs (kernels just stay serial).
+  // Charge this thread's core against the shared DoP budget while the
+  // operator runs, so kernel-internal morsel parallelism on top of other
+  // running operators cannot oversubscribe the machine. Best effort: with
+  // no token available the operator still runs (kernels just stay serial).
   DopBudget::Token dop_token(&DopBudget::Global());
-  // Brownout L1+: clamp kernel-internal morsel parallelism on this worker
+  // Brownout L1+: clamp kernel-internal morsel parallelism on this thread
   // for the duration of the operator (0 = uncapped, a no-op below L1).
   ScopedDopCap brownout_dop_cap(ctx_->brownout().DopCap());
   Stopwatch run_watch;
-  Result<ExecutedOperator> executed =
-      ExecuteWithFallback(*task->node, inputs, kind, *ctx_, task->device);
+  Result<ExecutedOperator> executed = ExecuteWithFallback(
+      *task->node, inputs, task->assigned, *ctx_, task->device);
   query->stats->OnRun(static_cast<int64_t>(run_watch.ElapsedMicros()),
                       task->stats);
   if (!executed.ok()) {
     if (span.active()) span.AddArg("error", executed.status().ToString());
     FailQuery(query, executed.status());
     ReleaseTaskInputs(task);
-    return;
+    return false;
   }
   if (span.active()) {
     span.AddArg("processor", ProcessorKindToString(executed.value().ran_on));
@@ -386,44 +447,36 @@ void ChoppingExecutor::RunTask(const QueryExecPtr& query, OpTask* task,
 
   // Free the inputs we just consumed (device allocations, cache pins).
   ReleaseTaskInputs(task);
+  if (task->parent != nullptr) return true;
 
-  if (task->parent == nullptr) {
-    // Root finished: deliver the result on the host.
-    if (task->result.location == ProcessorKind::kGpu &&
-        !task->result.base_data) {
-      Status copy_back = TransferWithRetry(
-          task->result.table_bytes(), TransferDirection::kDeviceToHost, *ctx_,
-          task->result.device);
-      if (!copy_back.ok()) {
-        task->result = OperatorResult();
-        FailQuery(query, copy_back);
-        return;
-      }
-      task->result.ReleaseDeviceResources();
-    }
-    if (query->done.exchange(true, std::memory_order_acq_rel)) {
-      // Lost the race against a concurrent FailQuery (cancel during the
-      // copy-back): the promise is settled; just drop the device residency.
+  // Root finished: deliver the result on the host.
+  if (task->result.location == ProcessorKind::kGpu && !task->result.base_data) {
+    Status copy_back =
+        TransferWithRetry(task->result.table_bytes(),
+                          TransferDirection::kDeviceToHost, *ctx_,
+                          task->result.device);
+    if (!copy_back.ok()) {
       task->result = OperatorResult();
-      return;
+      FailQuery(query, copy_back);
+      return false;
     }
-    ctx_->watchdog().Deregister(query->query_id);
-    ctx_->metrics().RecordQueryDone();
-    query->stats->MarkFinished(/*ok=*/true);
-    ctx_->flight_recorder().RecordQuerySummary(query->query_id,
-                                               query->stats->name(),
-                                               query->stats->SummaryFields());
-    ctx_->NoteQueryFinished();
-    query->promise.set_value(task->result.table);
-    return;
+    task->result.ReleaseDeviceResources();
   }
-
-  // Notify the parent; the last completing child inserts it into the stream
-  // (Figure 11).
-  if (task->parent->pending_children.fetch_sub(
-          1, std::memory_order_acq_rel) == 1) {
-    ScheduleTask(query, task->parent);
+  if (query->done.exchange(true, std::memory_order_acq_rel)) {
+    // Lost the race against a concurrent FailQuery (cancel during the
+    // copy-back): the promise is settled; just drop the device residency.
+    task->result = OperatorResult();
+    return false;
   }
+  ctx_->watchdog().Deregister(query->query_id);
+  ctx_->metrics().RecordQueryDone();
+  query->stats->MarkFinished(/*ok=*/true);
+  ctx_->flight_recorder().RecordQuerySummary(query->query_id,
+                                             query->stats->name(),
+                                             query->stats->SummaryFields());
+  ctx_->NoteQueryFinished();
+  query->promise.set_value(task->result.table);
+  return true;
 }
 
 void ChoppingExecutor::FailQuery(const QueryExecPtr& query,

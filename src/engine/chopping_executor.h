@@ -27,10 +27,10 @@ using RuntimePlacer = std::function<ProcessorKind(
     EngineContext& ctx)>;
 
 /// Per-query lifecycle controls: a cancel token the client may fire at any
-/// time and an optional absolute deadline. Both are checked when an operator
-/// is scheduled and again when a worker picks it up; a query that trips
-/// either fails promptly with Cancelled and releases its device-held
-/// intermediates.
+/// time and an optional absolute deadline. Both are checked before every
+/// operator runs (on the pools: when it is scheduled and again when a worker
+/// picks it up); a query that trips either fails promptly with Cancelled and
+/// releases its device-held intermediates.
 struct QueryControls {
   CancelToken cancel;
   std::chrono::steady_clock::time_point deadline =
@@ -62,6 +62,16 @@ struct QueryControls {
 /// successors will see a host-resident input and naturally stay on the CPU
 /// (Figure 8, right side).
 ///
+/// `ExecuteInline` runs the same task graph without the pools: operator at a
+/// time on the calling thread, each child subtree of an n-ary operator on a
+/// thread of its own (CoGaDB's inter-operator parallelism, Section 2.5). The
+/// compile-time strategies run this way, with a placer that replays their
+/// precomputed placement. Both entry points share the query setup (stats,
+/// brownout template vote, watchdog registration), the placement step
+/// (placer, brownout pinning, device pick) and the operator step (cancel and
+/// deadline check, DoP token and brownout cap, ExecuteWithFallback, root
+/// copy-back).
+///
 /// Lifecycle guarantees:
 ///  * every future returned by Submit resolves — with the query's result, a
 ///    clean error, or Cancelled — never std::future_error/broken_promise;
@@ -71,19 +81,31 @@ struct QueryControls {
 ///    and joins every worker.
 class ChoppingExecutor {
  public:
-  ChoppingExecutor(EngineContext* ctx, int cpu_workers, int gpu_workers);
+  /// Starts `cpu_workers` CPU workers and `gpu_workers` workers per device.
+  /// With both zero the executor starts no thread and serves ExecuteInline
+  /// only.
+  explicit ChoppingExecutor(EngineContext* ctx, int cpu_workers = 0,
+                            int gpu_workers = 0);
   ~ChoppingExecutor();
 
   ChoppingExecutor(const ChoppingExecutor&) = delete;
   ChoppingExecutor& operator=(const ChoppingExecutor&) = delete;
 
   /// Chops the query and inserts its leaves into the operator stream.
+  /// Requires worker pools.
   std::future<Result<TablePtr>> Submit(PlanNodePtr root, RuntimePlacer placer,
                                        QueryControls controls = {});
 
   /// Submit and wait.
   Result<TablePtr> ExecuteQuery(PlanNodePtr root, RuntimePlacer placer,
                                 QueryControls controls = {});
+
+  /// Runs the query to completion on the calling thread (plus one thread per
+  /// child subtree of each n-ary operator); an operator whose device attempt
+  /// aborts restarts on the CPU while its successors keep what `placer`
+  /// gives them.
+  Result<TablePtr> ExecuteInline(PlanNodePtr root, RuntimePlacer placer,
+                                 QueryControls controls = {});
 
   int cpu_workers() const { return cpu_workers_; }
   int gpu_workers() const { return gpu_workers_; }
@@ -93,7 +115,6 @@ class ChoppingExecutor {
 
   /// One plan operator within one submitted query.
   struct OpTask {
-    QueryExec* query = nullptr;
     const PlanNode* node = nullptr;
     OpTask* parent = nullptr;
     std::vector<OpTask*> children;
@@ -134,17 +155,33 @@ class ChoppingExecutor {
 
   using QueryExecPtr = std::shared_ptr<QueryExec>;
 
+  /// Query setup shared by both entry points: stats, brownout template
+  /// vote, watchdog registration, and the task graph (root first).
+  QueryExecPtr StartQuery(PlanNodePtr root, RuntimePlacer placer,
+                          QueryControls controls);
   /// Non-OK when the query must stop: already failed, cancelled, or past
   /// its deadline (fails the query as a side effect in the latter cases).
   Status CheckRunnable(const QueryExecPtr& query);
+  /// The child results `task` consumes.
+  static std::vector<OperatorResult*> TaskInputs(const OpTask* task);
   /// Releases the child results `task` would have consumed — it is their
   /// sole consumer, and it will never run.
   static void ReleaseTaskInputs(OpTask* task);
+
+  /// Sets `task->assigned` and `task->device`: the placer's choice, pinned
+  /// to the CPU by brownout, then a device pick (none admits: the CPU).
+  void PlaceTask(const QueryExecPtr& query, OpTask* task);
+  /// Runs a placed task's operator on the calling thread, releases its
+  /// inputs, and — for the root — copies the result back and settles the
+  /// query. Returns false when the query failed.
+  bool RunOperator(const QueryExecPtr& query, OpTask* task);
 
   /// Places a ready task and pushes it into the chosen ready queue.
   void ScheduleTask(const QueryExecPtr& query, OpTask* task);
   void WorkerLoop(int queue_index);
   void RunTask(const QueryExecPtr& query, OpTask* task, ProcessorKind kind);
+  /// ExecuteInline's walk: children first, then `task` itself.
+  void RunSubtree(const QueryExecPtr& query, OpTask* task);
   void FailQuery(const QueryExecPtr& query, const Status& status);
 
   /// Ready-queue index: 0 is the CPU queue, 1 + d is device d's queue —

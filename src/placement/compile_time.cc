@@ -133,6 +133,15 @@ std::vector<const PlanNode*> CollectLeaves(const PlanNodePtr& root) {
 
 }  // namespace
 
+RuntimePlacer MakeReplayPlacer(PlacementMap placement) {
+  return [placement = std::move(placement)](
+             const PlanNode& node, const std::vector<OperatorResult*>&,
+             EngineContext&) {
+    auto it = placement.find(&node);
+    return it != placement.end() ? it->second : ProcessorKind::kCpu;
+  };
+}
+
 PlacementMap PlaceCpuOnly(const PlanNodePtr& root) {
   PlacementMap placement;
   AssignAll(root, ProcessorKind::kCpu, &placement);

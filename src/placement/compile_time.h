@@ -1,11 +1,23 @@
 #ifndef HETDB_PLACEMENT_COMPILE_TIME_H_
 #define HETDB_PLACEMENT_COMPILE_TIME_H_
 
+#include <unordered_map>
+
+#include "engine/chopping_executor.h"
 #include "engine/engine_context.h"
-#include "engine/query_executor.h"
 #include "operators/plan_node.h"
 
 namespace hetdb {
+
+/// Compile-time operator placement: one processor per plan node, fixed
+/// before execution starts.
+using PlacementMap = std::unordered_map<const PlanNode*, ProcessorKind>;
+
+/// A placer that replays `placement`; nodes missing from it run on the CPU.
+/// An operator that aborts on the device restarts on the CPU, but its
+/// successors keep their compile-time processor — the ping-pong transfers
+/// the paper illustrates in Figure 8.
+RuntimePlacer MakeReplayPlacer(PlacementMap placement);
 
 /// All operators on the CPU.
 PlacementMap PlaceCpuOnly(const PlanNodePtr& root);

@@ -75,8 +75,7 @@ int DeviceShardingPolicy::QueryHomeDevice(const PlanNode& root) const {
 int DeviceShardingPolicy::PickDevice(
     const std::vector<std::string>& input_keys,
     const std::vector<std::pair<int, size_t>>& resident_inputs,
-    size_t estimated_heap_bytes, int preferred_device) const {
-  (void)estimated_heap_bytes;
+    int preferred_device) const {
   // Candidates: live devices whose breaker admits work right now. The
   // breaker peek also advances open-state cooldown, which is what lets a
   // tripped device eventually half-open under a placement-only load. The

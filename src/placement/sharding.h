@@ -73,10 +73,9 @@ class DeviceShardingPolicy {
   /// (see `QueryHomeDevice`): it wins over cached-column pull but loses to
   /// large resident inputs, so a whole query converges onto one device
   /// instead of shipping intermediates between the homes of the columns it
-  /// reads. `estimated_heap_bytes` breaks free-heap ties.
+  /// reads.
   int PickDevice(const std::vector<std::string>& input_keys,
                  const std::vector<std::pair<int, size_t>>& resident_inputs,
-                 size_t estimated_heap_bytes,
                  int preferred_device = -1) const;
 
   /// The query's home device: a hash of the plan's base-column footprint

@@ -34,22 +34,24 @@ StrategyRunner::StrategyRunner(EngineContext* ctx, Strategy strategy)
     case Strategy::kRunTime:
       // Run-time placement without concurrency limiting: a pool large enough
       // to never be the bottleneck.
-      chopping_ = std::make_unique<ChoppingExecutor>(ctx_, kUnboundedWorkers,
+      executor_ = std::make_unique<ChoppingExecutor>(ctx_, kUnboundedWorkers,
                                                      kUnboundedWorkers);
       placer_ = MakeHypePlacer();
       break;
     case Strategy::kChopping:
-      chopping_ = std::make_unique<ChoppingExecutor>(
+      executor_ = std::make_unique<ChoppingExecutor>(
           ctx_, ctx_->config().cpu_workers, ctx_->config().gpu_workers);
       placer_ = MakeHypePlacer();
       break;
     case Strategy::kDataDrivenChopping:
-      chopping_ = std::make_unique<ChoppingExecutor>(
+      executor_ = std::make_unique<ChoppingExecutor>(
           ctx_, ctx_->config().cpu_workers, ctx_->config().gpu_workers);
       placer_ = MakeDataDrivenPlacer();
       break;
     default:
-      break;  // compile-time strategies need no executor state
+      // Compile-time strategies run inline on the caller's thread.
+      executor_ = std::make_unique<ChoppingExecutor>(ctx_);
+      break;
   }
 }
 
@@ -75,19 +77,6 @@ PlanNodePtr StrategyRunner::Optimize(const PlanNodePtr& root,
 Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
                                           QueryControls controls) {
   PlanNodePtr plan = Optimize(root, controls.stats.get());
-  if (chopping_ != nullptr) {
-    return chopping_->ExecuteQuery(plan, placer_, std::move(controls));
-  }
-  // Compile-time path: the operator-at-a-time executor has no mid-flight
-  // checkpoints, so honour the controls where we can — before starting.
-  if (controls.cancel.cancelled()) {
-    return Status::Cancelled("query cancelled by client");
-  }
-  if (controls.has_deadline() &&
-      std::chrono::steady_clock::now() >= controls.deadline) {
-    return Status::Cancelled("query deadline exceeded");
-  }
-  QueryStatsPtr stats = std::move(controls.stats);
   PlacementMap placement;
   switch (strategy_) {
     case Strategy::kCpuOnly:
@@ -103,10 +92,10 @@ Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
       placement = PlaceDataDriven(plan, *ctx_);
       break;
     default:
-      return Status::Internal("runtime strategy without executor");
+      return executor_->ExecuteQuery(plan, placer_, std::move(controls));
   }
-  QueryExecutor executor(ctx_);
-  return executor.Execute(plan, placement, std::move(stats));
+  return executor_->ExecuteInline(plan, MakeReplayPlacer(std::move(placement)),
+                                  std::move(controls));
 }
 
 void StrategyRunner::RefreshDataPlacement() {

@@ -5,7 +5,6 @@
 
 #include "engine/chopping_executor.h"
 #include "engine/engine_context.h"
-#include "engine/query_executor.h"
 #include "placement/strategy.h"
 
 namespace hetdb {
@@ -14,7 +13,8 @@ namespace hetdb {
 ///
 /// Thread-safe: user-session threads share one runner, which is essential
 /// for the chopping strategies — their single worker-thread pool *is* the
-/// concurrency bound across all concurrent queries.
+/// concurrency bound across all concurrent queries. Compile-time strategies
+/// start no pool: each query runs inline on its caller's thread.
 class StrategyRunner {
  public:
   StrategyRunner(EngineContext* ctx, Strategy strategy);
@@ -32,10 +32,9 @@ class StrategyRunner {
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryStatsPtr stats);
 
   /// Full-control variant (server/session path): cancel token, deadline, and
-  /// stats all flow through. Chopping strategies honour cancel/deadline at
-  /// every operator boundary; compile-time strategies check them before
-  /// execution starts (their operator-at-a-time executor has no mid-flight
-  /// checkpoints).
+  /// stats all flow through. Every strategy honours cancel and deadline
+  /// before each operator runs, and a live cancel token puts the query under
+  /// the engine watchdog.
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryControls controls);
 
   /// The plan RunQuery executes for `root`: FusePipelines if the context's
@@ -61,7 +60,9 @@ class StrategyRunner {
 
   EngineContext* ctx_;
   Strategy strategy_;
-  std::unique_ptr<ChoppingExecutor> chopping_;
+  std::unique_ptr<ChoppingExecutor> executor_;
+  /// Run-time placer of the pooled strategies; empty for compile-time ones,
+  /// whose placement is computed per query and replayed inline.
   RuntimePlacer placer_;
 };
 

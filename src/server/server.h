@@ -55,9 +55,11 @@ struct ServerOptions {
   /// late answer instead of an infrastructure error. Client cancels and
   /// shed queries are never hedged.
   bool hedge_cpu_replay = true;
-  /// Wall-clock budget for one CPU replay, in milliseconds (0 = unbounded).
-  /// The replay ignores the original deadline — by the time a hedge runs
-  /// the SLO is already lost; the hedge is about availability, not latency.
+  /// Wall-clock budget for one CPU replay, in milliseconds (0 = unbounded),
+  /// checked before each of the replay's operators: a replay that runs past
+  /// it returns Cancelled. The replay ignores the original deadline — by
+  /// the time a hedge runs the SLO is already lost; the hedge is about
+  /// availability, not latency.
   double hedge_budget_ms = 5000.0;
 };
 
@@ -147,8 +149,9 @@ class Server {
   EngineContext* ctx_;
   ServerOptions options_;
   StrategyRunner runner_;
-  /// CPU-only replay vehicle for hedged re-execution: no chopping pools, no
-  /// device resources — it cannot be hurt by whatever killed the original.
+  /// CPU-only replay vehicle for hedged re-execution: it runs inline on the
+  /// dispatcher thread, starts no pool and uses no device resources — it
+  /// cannot be hurt by whatever killed the original.
   StrategyRunner hedge_runner_;
   AdmissionController admission_;
   std::atomic<uint64_t> hedge_attempts_{0};

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -20,6 +21,7 @@
 
 #include "engine/chopping_executor.h"
 #include "engine/pipeline_builder.h"
+#include "fault/brownout.h"
 #include "fault/circuit_breaker.h"
 #include "fault/fault_injector.h"
 #include "fault/watchdog.h"
@@ -27,6 +29,8 @@
 #include "placement/strategy_runner.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/ssb_queries.h"
+#include "telemetry/query_stats.h"
+#include "telemetry/telemetry.h"
 #include "tests/test_util.h"
 
 namespace hetdb {
@@ -409,13 +413,26 @@ TEST(ChaosTest, BreakerRecoversViaHalfOpenProbes) {
   EXPECT_EQ(ctx.breaker().state(), DeviceCircuitBreaker::State::kClosed);
 }
 
+/// Test-name suffix for strategy-parameterized suites ("GPU Only" ->
+/// "GPUOnly").
+std::string StrategyParamName(const ::testing::TestParamInfo<Strategy>& info) {
+  std::string name;
+  for (const char c : std::string(StrategyToString(info.param))) {
+    if (std::isalnum(static_cast<unsigned char>(c))) name += c;
+  }
+  return name;
+}
+
 /// A watchdog kill travels the executor's ordinary cancel path, so it must
 /// leave the same clean state a client cancel does: the future settles (with
 /// Cancelled, or the result if the query won the race), the executor
 /// deregisters the query from the engine watchdog, and no device byte stays
 /// allocated. Repeated kills must not accumulate state, and the engine keeps
-/// serving correct results afterwards.
-TEST(ChaosTest, WatchdogKillLeavesNoStrandedState) {
+/// serving correct results afterwards. Compile-time strategies run inline
+/// but check the token before every operator, so they are killable too.
+class WatchdogKillTest : public ::testing::TestWithParam<Strategy> {};
+
+TEST_P(WatchdogKillTest, LeavesNoStrandedState) {
   DatabasePtr db = ChaosDb();
   TablePtr expected = Reference("Q3.1");
   // Modeled time keeps the query in flight for milliseconds, so the kill
@@ -425,7 +442,7 @@ TEST(ChaosTest, WatchdogKillLeavesNoStrandedState) {
   config.simulate_time = true;
   EngineContext ctx(config, db);
   {
-    StrategyRunner runner(&ctx, Strategy::kChopping);
+    StrategyRunner runner(&ctx, GetParam());
     // A test-local watchdog with a microscopic runtime ceiling plays the
     // killer (the engine's own watchdog keeps production thresholds); both
     // fire through the query's CancelToken, so the unwind path is the same.
@@ -482,6 +499,90 @@ TEST(ChaosTest, WatchdogKillLeavesNoStrandedState) {
     EXPECT_TRUE(TablesEqual(*expected, *clean.value()));
   }
   EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PooledAndInline, WatchdogKillTest,
+                         ::testing::Values(Strategy::kChopping,
+                                           Strategy::kGpuOnly,
+                                           Strategy::kCpuOnly),
+                         StrategyParamName);
+
+/// A compile-time query checks its deadline before every operator, not only
+/// before the first: once the deadline passes mid-query it fails with
+/// Cancelled, leaves the engine watchdog, and frees its device heap.
+class CompileTimeDeadlineTest : public ::testing::TestWithParam<Strategy> {};
+
+TEST_P(CompileTimeDeadlineTest, DeadlinePassingMidQueryCancels) {
+  // Modeled time x20 keeps Q3.1 running for tens of milliseconds, so a 5 ms
+  // budget expires after its first operators and before its last.
+  SystemConfig config = TestConfig();
+  config.simulate_time = true;
+  config.time_scale = 20.0;
+  EngineContext ctx(config, ChaosDb());
+  StrategyRunner runner(&ctx, GetParam());
+  const PlanNodePtr plan = ChaosPlan("Q3.1");
+  QueryControls controls;
+  controls.cancel = CancelToken::Create();  // a live token: watched
+  controls.stats = std::make_shared<QueryStats>();
+  const QueryStatsPtr stats = controls.stats;
+  controls.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+  Result<TablePtr> result = runner.RunQuery(plan, std::move(controls));
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_GT(stats->operators_run(), 0);
+  EXPECT_LT(stats->operators_run(),
+            static_cast<int64_t>(stats->nodes().size()));
+  EXPECT_EQ(ctx.watchdog().active(), 0u);
+  EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(CompileTime, CompileTimeDeadlineTest,
+                         ::testing::Values(Strategy::kGpuOnly,
+                                           Strategy::kCpuOnly),
+                         StrategyParamName);
+
+/// Brownout survival mode (L3) pins a compile-time query's device operators
+/// to the CPU in the executor's placement step, counted as brownout pins
+/// rather than breaker short-circuits.
+TEST(ChaosTest, BrownoutL3PinsGpuOnlyQueriesToTheCpu) {
+  TablePtr expected = Reference("Q3.1");
+  EngineContext ctx(TestConfig(), ChaosDb());
+  StrategyRunner runner(&ctx, Strategy::kGpuOnly);
+  ctx.brownout().ForceLevel(BrownoutLevel::kL3);
+  Result<TablePtr> result = runner.RunQuery(ChaosPlan("Q3.1"));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(TablesEqual(*expected, *result.value()));
+  EXPECT_EQ(ctx.metrics().gpu_operators(), 0u);
+  MetricRegistry& registry = ctx.telemetry().registry();
+  EXPECT_GT(registry.GetCounter("brownout.cpu_pins").value(), 0);
+  EXPECT_EQ(registry.GetCounter("breaker.short_circuits").value(), 0);
+}
+
+/// Brownout L1 caps a compile-time query's kernel DoP at `l1_dop_cap`, as it
+/// does on the chopping pools: the cap is part of the shared operator step.
+TEST(ChaosTest, BrownoutL1CapsGpuOnlyKernelDop) {
+  // Four DoP tokens and 64-row morsels: uncapped kernels would use four
+  // workers on any host.
+  DopScope dop(/*threads=*/4, /*morsel_rows=*/64);
+  TablePtr expected = Reference("Q3.1");
+  EngineContext ctx(TestConfig(), ChaosDb());
+  StrategyRunner runner(&ctx, Strategy::kGpuOnly);
+  ctx.brownout().ForceLevel(BrownoutLevel::kL1);
+  const int cap = ctx.brownout().DopCap();
+  ASSERT_GT(cap, 0);
+  GlobalKernelMetrics().Reset();
+  Result<TablePtr> result = runner.RunQuery(ChaosPlan("Q3.1"));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(TablesEqual(*expected, *result.value()));
+  uint64_t loops = 0;
+  for (const auto& [name, histogram] :
+       GlobalKernelMetrics().HistogramSnapshots()) {
+    if (!name.ends_with(".dop")) continue;
+    loops += histogram.count;
+    EXPECT_LE(histogram.max, cap) << name;
+  }
+  EXPECT_GT(loops, 0u);
 }
 
 /// Tripping the breaker must automatically dump the flight recorder as
@@ -819,7 +920,7 @@ TEST(MultiDeviceChaosTest, BreakerTripRebalancesThenHalfOpenRecoveryReadmits) {
   // Placement never offers device 1 while it is out, even with a resident
   // input pointing there.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_NE(ctx.sharding().PickDevice({}, {{1, 4096}}, 0), 1);
+    EXPECT_NE(ctx.sharding().PickDevice({}, {{1, 4096}}), 1);
   }
 
   // Recovery: open-state cooldown advances on placer peeks, two successful
@@ -835,7 +936,7 @@ TEST(MultiDeviceChaosTest, BreakerTripRebalancesThenHalfOpenRecoveryReadmits) {
 
   // Re-admitted: resident-input affinity lands on device 1 again, and a
   // sweep over the recovered machine still returns correct results.
-  EXPECT_EQ(ctx.sharding().PickDevice({}, {{1, 4096}, {1, 4096}}, 0), 1);
+  EXPECT_EQ(ctx.sharding().PickDevice({}, {{1, 4096}, {1, 4096}}), 1);
   StrategyRunner runner(&ctx, Strategy::kDataDrivenChopping);
   for (const char* name : kChaosQueries) {
     TablePtr expected = Reference(name);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "engine/chopping_executor.h"
-#include "engine/query_executor.h"
 #include "placement/compile_time.h"
 #include "placement/runtime.h"
+#include "placement/strategy_runner.h"
 #include "tests/test_util.h"
 
 namespace hetdb {
@@ -221,22 +223,25 @@ TEST_F(ExecutorTest, FallbackDoesNotMaskRealErrors) {
   EXPECT_EQ(executed.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(ExecutorTest, QueryExecutorRunsFullPlan) {
-  QueryExecutor executor(ctx_.get());
+TEST_F(ExecutorTest, InlineExecutionRunsFullPlan) {
+  ChoppingExecutor executor(ctx_.get());
   PlanNodePtr plan = SimplePlan();
-  auto result = executor.Execute(plan, PlaceCpuOnly(plan));
+  auto result =
+      executor.ExecuteInline(plan, MakeReplayPlacer(PlaceCpuOnly(plan)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()->num_rows(), 10u);
   EXPECT_EQ(ctx_->metrics().queries_completed(), 1u);
 }
 
 TEST_F(ExecutorTest, AllPlacementsProduceIdenticalResults) {
-  QueryExecutor executor(ctx_.get());
+  ChoppingExecutor executor(ctx_.get());
   PlanNodePtr plan_cpu = SimplePlan();
-  auto cpu = executor.Execute(plan_cpu, PlaceCpuOnly(plan_cpu));
+  auto cpu = executor.ExecuteInline(plan_cpu,
+                                    MakeReplayPlacer(PlaceCpuOnly(plan_cpu)));
   ASSERT_TRUE(cpu.ok());
   PlanNodePtr plan_gpu = SimplePlan();
-  auto gpu = executor.Execute(plan_gpu, PlaceGpuOnly(plan_gpu));
+  auto gpu = executor.ExecuteInline(plan_gpu,
+                                    MakeReplayPlacer(PlaceGpuOnly(plan_gpu)));
   ASSERT_TRUE(gpu.ok());
   EXPECT_TRUE(TablesEqual(*cpu.value(), *gpu.value()));
 }
@@ -246,30 +251,61 @@ TEST_F(ExecutorTest, CompileTimePlacementSurvivesAborts) {
   // operators falling back to the CPU.
   ctx_->simulator().fault_injector().SetSchedule(
       FaultSite::kDeviceAlloc, FaultSchedule::Always(FaultKind::kHeapExhausted));
-  QueryExecutor executor(ctx_.get());
+  ChoppingExecutor executor(ctx_.get());
   PlanNodePtr plan = SimplePlan();
-  auto result = executor.Execute(plan, PlaceGpuOnly(plan));
+  auto result =
+      executor.ExecuteInline(plan, MakeReplayPlacer(PlaceGpuOnly(plan)));
   ASSERT_TRUE(result.ok());
   EXPECT_GT(ctx_->metrics().gpu_operator_aborts(), 0u);
   PlanNodePtr reference = SimplePlan();
   EngineContext clean_ctx(TestConfig(), db_);
-  QueryExecutor clean(&clean_ctx);
-  auto expected = clean.Execute(reference, PlaceCpuOnly(reference));
+  ChoppingExecutor clean(&clean_ctx);
+  auto expected =
+      clean.ExecuteInline(reference, MakeReplayPlacer(PlaceCpuOnly(reference)));
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE(TablesEqual(*expected.value(), *result.value()));
 }
 
 TEST_F(ExecutorTest, ChoppingExecutorMatchesCompileTime) {
-  QueryExecutor reference_executor(ctx_.get());
+  ChoppingExecutor chopping(ctx_.get(), 2, 1);
   PlanNodePtr reference_plan = SimplePlan();
-  auto expected =
-      reference_executor.Execute(reference_plan, PlaceCpuOnly(reference_plan));
+  auto expected = chopping.ExecuteInline(
+      reference_plan, MakeReplayPlacer(PlaceCpuOnly(reference_plan)));
   ASSERT_TRUE(expected.ok());
 
-  ChoppingExecutor chopping(ctx_.get(), 2, 1);
   auto result = chopping.ExecuteQuery(SimplePlan(), MakeHypePlacer());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(TablesEqual(*expected.value(), *result.value()));
+}
+
+/// Live threads of this process: one /proc/self/task entry each.
+size_t ProcessThreads() {
+  size_t threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+/// Compile-time strategies run inline on the caller's thread, so their
+/// runners own no worker pool; the chopping runner starts its pools.
+TEST_F(ExecutorTest, CompileTimeRunnersStartNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task to count threads";
+  }
+  const size_t before = ProcessThreads();
+  for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly,
+                            Strategy::kCriticalPath, Strategy::kDataDriven}) {
+    StrategyRunner runner(ctx_.get(), strategy);
+    EXPECT_EQ(ProcessThreads(), before) << StrategyToString(strategy);
+  }
+  StrategyRunner chopping(ctx_.get(), Strategy::kChopping);
+  EXPECT_EQ(ProcessThreads(),
+            before + static_cast<size_t>(ctx_->config().cpu_workers +
+                                         ctx_->config().gpu_workers *
+                                             ctx_->device_count()));
 }
 
 TEST_F(ExecutorTest, ChoppingHandlesManyConcurrentQueries) {

@@ -234,9 +234,9 @@ TEST(MultiDeviceShardingTest, PickDevicePrefersResidency) {
   // Inputs resident on device 2 dominate the choice, and a big input
   // outweighs a small one on another device (migrating the small side is
   // cheaper at the paper's 100 MB/s PCIe).
-  EXPECT_EQ(ctx.sharding().PickDevice({}, {{2, 4096}, {2, 4096}}, 0), 2);
+  EXPECT_EQ(ctx.sharding().PickDevice({}, {{2, 4096}, {2, 4096}}), 2);
   EXPECT_EQ(
-      ctx.sharding().PickDevice({}, {{1, 64 << 10}, {3, 4 << 20}}, 0), 3);
+      ctx.sharding().PickDevice({}, {{1, 64 << 10}, {3, 4 << 20}}), 3);
   // A cached base column pulls its scan home.
   const std::string key = "lineorder.lo_quantity";
   const int home = ctx.sharding().AffinityDevice(key);
@@ -244,7 +244,7 @@ TEST(MultiDeviceShardingTest, PickDevicePrefersResidency) {
   Result<ColumnPtr> column = db->GetColumnByQualifiedName(key);
   ASSERT_TRUE(column.ok());
   ASSERT_TRUE(ctx.cache(home).Pin(column.value(), key).ok());
-  EXPECT_EQ(ctx.sharding().PickDevice({key}, {}, 0), home);
+  EXPECT_EQ(ctx.sharding().PickDevice({key}, {}), home);
 }
 
 /// The query home is deterministic per plan shape, spreads distinct query
@@ -271,9 +271,9 @@ TEST(MultiDeviceShardingTest, QueryHomeSpreadsTemplatesAndBiasesPicks) {
   // The home bonus beats cold round-robin but yields to a 1 MiB resident
   // input on another device.
   const int home = *homes.begin();
-  EXPECT_EQ(ctx.sharding().PickDevice({}, {}, 0, home), home);
+  EXPECT_EQ(ctx.sharding().PickDevice({}, {}, home), home);
   const int other = (home + 1) % 4;
-  EXPECT_EQ(ctx.sharding().PickDevice({}, {{other, 1 << 20}}, 0, home),
+  EXPECT_EQ(ctx.sharding().PickDevice({}, {{other, 1 << 20}}, home),
             other);
 }
 
@@ -284,7 +284,7 @@ TEST(MultiDeviceShardingTest, ColdPicksSpreadAcrossDevices) {
   EngineContext ctx(DeviceConfig(4), db);
   std::set<int> picked;
   for (int i = 0; i < 16; ++i) {
-    const int device = ctx.sharding().PickDevice({}, {}, 0);
+    const int device = ctx.sharding().PickDevice({}, {});
     ASSERT_GE(device, 0);
     ASSERT_LT(device, 4);
     picked.insert(device);

@@ -4,16 +4,20 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/fault_injector.h"
 #include "server/admission.h"
 #include "server/line_protocol.h"
 #include "server/server.h"
 #include "server/traffic.h"
 #include "sql/planner.h"
 #include "ssb/ssb_generator.h"
+#include "telemetry/query_stats.h"
 #include "tests/test_util.h"
 
 namespace hetdb {
@@ -426,6 +430,96 @@ TEST_F(ServerTest, QueuedQueryCancelledBeforeDispatchIsCancelled) {
   for (const auto& node : stats->nodes()) {
     EXPECT_EQ(node->run_micros.load(), 0);
   }
+}
+
+// --- Hedged CPU replay ------------------------------------------------------
+
+constexpr const char* kHedgeSql =
+    "SELECT d_year, sum(lo_revenue) AS revenue FROM lineorder, date "
+    "WHERE lo_orderdate = d_datekey GROUP BY d_year ORDER BY d_year";
+
+/// A GPU Only server whose device has demand-cached every column of
+/// kHedgeSql, with every PCIe transfer failing transiently from then on: the
+/// next run of the query moves no byte but its result copy-back, which
+/// outlasts `transfer_retry_limit` and fails the query engine-side.
+class HedgeTest : public ::testing::Test {
+ protected:
+  void Start(SystemConfig config, double hedge_budget_ms) {
+    db_ = SmallSsbDb();
+    ctx_ = std::make_unique<EngineContext>(config, db_);
+    ServerOptions options;
+    options.strategy = Strategy::kGpuOnly;
+    options.dispatchers = 1;
+    options.governor_follows_engine = false;
+    options.hedge_budget_ms = hedge_budget_ms;
+    server_ = std::make_unique<Server>(ctx_.get(), options);
+    session_ = server_->OpenSession("hedge");
+    ASSERT_TRUE(session_->ExecuteSql(kHedgeSql).ok());  // warms the cache
+    ctx_->simulator().fault_injector().SetSchedule(
+        FaultSite::kTransfer, FaultSchedule::Always(FaultKind::kTransient));
+  }
+
+  DatabasePtr db_;
+  std::unique_ptr<EngineContext> ctx_;
+  std::unique_ptr<Server> server_;
+  SessionPtr session_;
+};
+
+TEST_F(HedgeTest, EngineSideFailureIsReplayedOnTheCpu) {
+  Start(TestConfig(), /*hedge_budget_ms=*/5000);
+  Result<TablePtr> result = session_->ExecuteSql(kHedgeSql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The copy-back was the only transfer, and every attempt of it failed.
+  EXPECT_EQ(ctx_->simulator().fault_injector().faults_injected(
+                FaultSite::kTransfer, FaultKind::kTransient),
+            static_cast<uint64_t>(1 + TestConfig().transfer_retry_limit));
+  EXPECT_EQ(server_->hedge_attempts(), 1u);
+  EXPECT_EQ(server_->hedge_successes(), 1u);
+
+  EngineContext reference_ctx(TestConfig(), db_);
+  StrategyRunner reference(&reference_ctx, Strategy::kCpuOnly);
+  Result<PlanNodePtr> plan = PlanSql(kHedgeSql, *db_);
+  ASSERT_TRUE(plan.ok());
+  Result<TablePtr> expected = reference.RunQuery(plan.value());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(TablesEqual(*expected.value(), *result.value()));
+}
+
+TEST_F(HedgeTest, ClientCancelIsNotReplayed) {
+  // Modeled time x20 keeps the query running for milliseconds after its
+  // first operator, so the cancel lands mid-query.
+  SystemConfig config = TestConfig();
+  config.simulate_time = true;
+  config.time_scale = 20.0;
+  Start(config, /*hedge_budget_ms=*/5000);
+  SubmitOptions submit;
+  submit.cancel = CancelToken::Create();
+  submit.stats = std::make_shared<QueryStats>();
+  std::future<Result<TablePtr>> future =
+      session_->SubmitSql(kHedgeSql, submit);
+  while (submit.stats->operators_run() == 0 &&
+         future.wait_for(std::chrono::microseconds(100)) !=
+             std::future_status::ready) {
+  }
+  submit.cancel.RequestCancel();
+  Result<TablePtr> result = future.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_EQ(server_->hedge_attempts(), 0u);
+}
+
+TEST_F(HedgeTest, ReplayPastItsBudgetIsCancelled) {
+  // Modeled time x20 makes the CPU replay take far longer than 2 ms; it
+  // must stop at an operator boundary once its budget is spent.
+  SystemConfig config = TestConfig();
+  config.simulate_time = true;
+  config.time_scale = 20.0;
+  Start(config, /*hedge_budget_ms=*/2);
+  Result<TablePtr> result = session_->ExecuteSql(kHedgeSql);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_EQ(server_->hedge_attempts(), 1u);
+  EXPECT_EQ(server_->hedge_successes(), 0u);
 }
 
 TEST_F(ServerTest, ConcurrentSessionsAllComplete) {
