@@ -240,14 +240,14 @@ int main(int argc, char** argv) {
       std::printf(
           "  admission: limit=%d in_flight=%d queued=%zu\n"
           "  offered=%llu shed=%llu ewma_service=%.2fms\n"
-          "  detector=%s breaker=%d\n",
+          "  detector=%s breaker=%s\n",
           admission.concurrency_limit(), admission.in_flight(),
           admission.queued(),
           static_cast<unsigned long long>(admission.offered()),
           static_cast<unsigned long long>(admission.shed_total()),
           admission.ewma_service_micros() / 1000.0,
           ThrashingDetector::StateName(ctx.detector().state()),
-          static_cast<int>(ctx.breaker().state()));
+          BreakerStateToString(ctx.breaker().state()));
       continue;
     }
     if (line.rfind("\\deadline", 0) == 0) {
@@ -278,17 +278,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line == "\\devices") {
-      auto breaker_name = [](DeviceCircuitBreaker::State state) {
-        switch (state) {
-          case DeviceCircuitBreaker::State::kClosed:
-            return "closed";
-          case DeviceCircuitBreaker::State::kOpen:
-            return "open";
-          case DeviceCircuitBreaker::State::kHalfOpen:
-            return "half-open";
-        }
-        return "?";
-      };
       for (int d = 0; d < ctx.device_count(); ++d) {
         DeviceAllocator& heap = ctx.simulator().device_heap(d);
         std::printf(
@@ -296,7 +285,7 @@ int main(int argc, char** argv) {
             "breaker=%s detector=%s\n",
             d, ctx.sharding().IsLive(d) ? "live" : "LOST", heap.used(),
             heap.capacity(), ctx.cache(d).used_bytes(),
-            ctx.cache(d).capacity_bytes(), breaker_name(ctx.breaker(d).state()),
+            ctx.cache(d).capacity_bytes(), BreakerStateToString(ctx.breaker(d).state()),
             ThrashingDetector::StateName(ctx.detector(d).state()));
       }
       continue;

@@ -23,14 +23,14 @@ namespace hetdb {
 /// accordingly: `IntermediateDeviceBytes` charges only the join build tables
 /// — no flag arrays, no per-member intermediates (DESIGN.md §11).
 ///
-/// Results are bit-identical to the unfused chain: the same compiled
-/// predicate atoms, the same (probe ascending, build ascending within key)
-/// match order, the same first-seen group order and per-group ascending
-/// double accumulation, and the same output typing rules — all shared with
-/// the per-operator kernels via `kernels_internal.h`. If runtime binding
-/// finds a shape the fused evaluator does not handle, it falls back to
-/// replaying the member operators one at a time, which *is* the unfused
-/// execution.
+/// Results are bit-identical to the unfused chain: the same CNF keep-mask,
+/// the same join tables and so the same (probe ascending, build ascending
+/// within key) match order, the same group-key packer and first-seen group
+/// table, the same per-group ascending double accumulation, and the same
+/// output typing rules — all shared with the per-operator kernels via
+/// `kernels_internal.h`. If runtime binding finds a shape the fused
+/// evaluator does not handle, it falls back to replaying the member
+/// operators one at a time, which *is* the unfused execution.
 class FusedPipelineNode : public PlanNode {
  public:
   /// `children` = [source, build_0, ..., build_{J-1}]: the source feeds the

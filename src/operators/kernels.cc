@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -423,6 +424,33 @@ void OrAtomInto(const CompiledAtom& atom, size_t begin, size_t len,
   }
 }
 
+Result<CompiledCnf> CompileCnf(const Table& input,
+                               const ConjunctiveFilter& filter) {
+  CompiledCnf cnf;
+  cnf.reserve(filter.conjuncts.size());
+  for (const Disjunction& disjunction : filter.conjuncts) {
+    std::vector<CompiledAtom>& atoms = cnf.emplace_back();
+    atoms.reserve(disjunction.atoms.size());
+    for (const Predicate& atom : disjunction.atoms) {
+      HETDB_ASSIGN_OR_RETURN(CompiledAtom compiled, CompileAtom(input, atom));
+      atoms.push_back(compiled);
+    }
+  }
+  return cnf;
+}
+
+void CnfKeepMask(const CompiledCnf& cnf, size_t begin, size_t len,
+                 uint8_t* keep, std::vector<uint8_t>* scratch) {
+  std::fill(keep, keep + len, uint8_t{1});
+  if (scratch->size() < len) scratch->resize(len);
+  uint8_t* dis = scratch->data();
+  for (const std::vector<CompiledAtom>& atoms : cnf) {
+    std::fill(dis, dis + len, uint8_t{0});
+    for (const CompiledAtom& atom : atoms) OrAtomInto(atom, begin, len, dis);
+    for (size_t i = 0; i < len; ++i) keep[i] &= dis[i];
+  }
+}
+
 }  // namespace kernel_internal
 
 /// Row-at-a-time atoms over full columns.
@@ -450,49 +478,29 @@ Result<std::vector<uint32_t>> EvaluateFilterReference(
 
 namespace {
 
-/// Morsel-parallel filter. Phase A evaluates the whole CNF per morsel (the
-/// morsel's columns stay cache-resident across all conjuncts) into a shared
-/// keep-mask and counts survivors per morsel; after a serial prefix sum over
-/// those counts, phase B materializes indices with the branchless
-/// store-and-advance idiom into per-worker scratch, then block-copies each
-/// morsel's survivors to its exclusive output range. Output is ascending row
-/// ids — byte-identical to EvaluateFilterReference.
+/// Morsel-parallel filter. Phase A writes each morsel's CNF keep-mask into a
+/// shared mask and counts survivors per morsel; after a serial prefix sum
+/// over those counts, phase B compacts indices into per-worker scratch, then
+/// block-copies each morsel's survivors to its exclusive output range.
+/// Output is ascending row ids — byte-identical to EvaluateFilterReference.
 Result<std::vector<uint32_t>> EvaluateFilterParallel(
     const Table& input, const ConjunctiveFilter& filter, KernelStats& stats) {
   const size_t n = input.num_rows();
-  std::vector<std::vector<CompiledAtom>> conjuncts;
-  conjuncts.reserve(filter.conjuncts.size());
-  for (const Disjunction& disjunction : filter.conjuncts) {
-    std::vector<CompiledAtom> atoms;
-    atoms.reserve(disjunction.atoms.size());
-    for (const Predicate& atom : disjunction.atoms) {
-      HETDB_ASSIGN_OR_RETURN(CompiledAtom compiled, CompileAtom(input, atom));
-      atoms.push_back(compiled);
-    }
-    conjuncts.push_back(std::move(atoms));
-  }
+  HETDB_ASSIGN_OR_RETURN(CompiledCnf cnf, CompileCnf(input, filter));
 
   const size_t morsel = MorselRows();
   const size_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
   const int max_workers = MaxParallelWorkers(n, morsel);
 
-  std::vector<uint8_t> keep(n, 1);
+  std::vector<uint8_t> keep(n);
   std::vector<size_t> kept_in_morsel(num_morsels, 0);
   std::vector<std::vector<uint8_t>> disjunct_scratch(max_workers);
 
   const int workers = ParallelFor(
       n, morsel, [&](size_t begin, size_t end, int worker) {
         const size_t len = end - begin;
-        std::vector<uint8_t>& dis = disjunct_scratch[worker];
-        if (dis.size() < morsel) dis.resize(morsel);
         uint8_t* keep_at = keep.data() + begin;
-        for (const std::vector<CompiledAtom>& atoms : conjuncts) {
-          std::fill(dis.begin(), dis.begin() + len, uint8_t{0});
-          for (const CompiledAtom& atom : atoms) {
-            OrAtomInto(atom, begin, len, dis.data());
-          }
-          for (size_t i = 0; i < len; ++i) keep_at[i] &= dis[i];
-        }
+        CnfKeepMask(cnf, begin, len, keep_at, &disjunct_scratch[worker]);
         size_t kept = 0;
         for (size_t i = 0; i < len; ++i) kept += keep_at[i];
         kept_in_morsel[begin / morsel] = kept;
@@ -509,14 +517,11 @@ Result<std::vector<uint32_t>> EvaluateFilterParallel(
   ParallelFor(n, morsel, [&](size_t begin, size_t end, int worker) {
     std::vector<uint32_t>& buf = index_scratch[worker];
     if (buf.size() < morsel) buf.resize(morsel);
-    // Unconditional store, advance by the mask bit: no branch to mispredict.
-    // The over-store lands in private scratch, never in a neighbour morsel's
-    // output range, which is why the copy below is safe under concurrency.
-    size_t out = 0;
-    for (size_t i = begin; i < end; ++i) {
-      buf[out] = static_cast<uint32_t>(i);
-      out += keep[i];
-    }
+    // The compaction over-stores into private scratch, never into a
+    // neighbour morsel's output range, so the copy below is safe under
+    // concurrency.
+    const size_t out =
+        CompactKeptRows(keep.data() + begin, begin, end - begin, buf.data());
     if (out > 0) {
       std::memcpy(rows.data() + offsets[begin / morsel], buf.data(),
                   out * sizeof(uint32_t));
@@ -534,123 +539,102 @@ struct JoinMatches {
   std::vector<uint32_t> probe_rows;
 };
 
-/// Concatenates per-morsel match buffers in morsel (= probe row) order.
-JoinMatches ConcatMorselMatches(
-    const std::vector<std::vector<uint32_t>>& morsel_build,
-    const std::vector<std::vector<uint32_t>>& morsel_probe) {
-  const size_t morsels = morsel_build.size();
-  std::vector<size_t> match_off(morsels + 1, 0);
+}  // namespace
+
+namespace kernel_internal {
+
+std::vector<std::vector<uint32_t>> ConcatMorselRows(
+    const MorselRowBuffers& buffers, size_t streams) {
+  const size_t morsels = buffers.size();
+  std::vector<size_t> off(morsels + 1, 0);
   for (size_t m = 0; m < morsels; ++m) {
-    match_off[m + 1] = match_off[m] + morsel_build[m].size();
+    off[m + 1] = off[m] + (buffers[m].empty() ? 0 : buffers[m][0].size());
   }
-  JoinMatches matches;
-  matches.build_rows.resize(match_off[morsels]);
-  matches.probe_rows.resize(match_off[morsels]);
-  ParallelFor(morsels, 1, [&](size_t begin, size_t end, int) {
-    for (size_t m = begin; m < end; ++m) {
-      if (morsel_build[m].empty()) continue;
-      std::memcpy(matches.build_rows.data() + match_off[m],
-                  morsel_build[m].data(),
-                  morsel_build[m].size() * sizeof(uint32_t));
-      std::memcpy(matches.probe_rows.data() + match_off[m],
-                  morsel_probe[m].data(),
-                  morsel_probe[m].size() * sizeof(uint32_t));
+  std::vector<std::vector<uint32_t>> rows(streams);
+  for (std::vector<uint32_t>& stream : rows) stream.resize(off[morsels]);
+  // Copy in morsels of output rows, so a result of one morsel or less copies
+  // on the calling thread without waking helpers.
+  ParallelFor(off[morsels], MorselRows(), [&](size_t begin, size_t end, int) {
+    // The last morsel starting at or before `begin`; it holds row `begin`.
+    auto m = static_cast<size_t>(
+        std::upper_bound(off.begin(), off.end(), begin) - off.begin() - 1);
+    for (size_t at = begin; at < end; ++m) {
+      const size_t stop = std::min(end, off[m + 1]);
+      if (stop == at) continue;  // a morsel that emitted nothing
+      for (size_t s = 0; s < streams; ++s) {
+        std::memcpy(rows[s].data() + at, buffers[m][s].data() + (at - off[m]),
+                    (stop - at) * sizeof(uint32_t));
+      }
+      at = stop;
     }
   });
-  return matches;
+  return rows;
 }
 
-/// Fast path for dense integer build keys (every SSB/TPC-H dimension key):
-/// a direct-address table over [min, max] replaces hashing entirely — the
-/// probe loop is a bounds check plus one L1/L2 load. `heads[k]` holds the
-/// first build row with key `min + k`; duplicate rows chain through `next`
-/// in ascending order, replaying the reference join's match order.
-template <typename TB, typename TP>
-JoinMatches DirectJoinMatches(const TB* build_keys, size_t build_rows,
-                              uint64_t min_key, uint64_t range,
-                              const TP* probe_keys, size_t probe_rows,
-                              KernelStats& stats) {
-  std::vector<uint32_t> heads(range + 1, kNoEntry);
-  std::vector<uint32_t> tails(range + 1, kNoEntry);
-  std::vector<uint32_t> next(build_rows, kNoEntry);
-  // Build serially: the build side is the small (dimension) input, and the
-  // serial loop keeps duplicate chains in ascending-row order for free.
-  for (size_t i = 0; i < build_rows; ++i) {
-    const uint64_t k =
-        static_cast<uint64_t>(static_cast<int64_t>(build_keys[i])) - min_key;
-    if (heads[k] == kNoEntry) {
-      heads[k] = static_cast<uint32_t>(i);
-    } else {
-      next[tails[k]] = static_cast<uint32_t>(i);
+JoinTable::JoinTable(const Column& keys, KernelStats& stats) {
+  if (keys.type() == DataType::kInt32) {
+    Build(static_cast<const Int32Column&>(keys).values().data(),
+          keys.num_rows(), stats);
+    return;
+  }
+  HETDB_CHECK(keys.type() == DataType::kInt64);
+  Build(static_cast<const Int64Column&>(keys).values().data(), keys.num_rows(),
+        stats);
+}
+
+template <typename T>
+void JoinTable::Build(const T* keys, size_t rows, KernelStats& stats) {
+  next_.assign(rows, kNoEntry);
+  if (rows > 0) {
+    int64_t min_key = static_cast<int64_t>(keys[0]);
+    int64_t max_key = min_key;
+    for (size_t i = 1; i < rows; ++i) {
+      const auto key = static_cast<int64_t>(keys[i]);
+      min_key = std::min(min_key, key);
+      max_key = std::max(max_key, key);
     }
-    tails[k] = static_cast<uint32_t>(i);
+    const uint64_t range =
+        static_cast<uint64_t>(max_key) - static_cast<uint64_t>(min_key);
+    if (range < std::max<uint64_t>(8192, 8 * static_cast<uint64_t>(rows))) {
+      // Direct-address build, serial: the build side is the small
+      // (dimension) input, and the serial loop keeps duplicate chains in
+      // ascending-row order for free.
+      dense_ = true;
+      min_key_ = static_cast<uint64_t>(min_key);
+      range_ = range;
+      heads_.assign(range + 1, kNoEntry);
+      std::vector<uint32_t> tails(range + 1, kNoEntry);
+      for (size_t i = 0; i < rows; ++i) {
+        const uint64_t k =
+            static_cast<uint64_t>(static_cast<int64_t>(keys[i])) - min_key_;
+        if (heads_[k] == kNoEntry) {
+          heads_[k] = static_cast<uint32_t>(i);
+        } else {
+          next_[tails[k]] = static_cast<uint32_t>(i);
+        }
+        tails[k] = static_cast<uint32_t>(i);
+      }
+      return;
+    }
   }
 
-  const size_t morsel = MorselRows();
-  const size_t probe_morsels =
-      probe_rows == 0 ? 0 : (probe_rows + morsel - 1) / morsel;
-  std::vector<std::vector<uint32_t>> morsel_build(probe_morsels);
-  std::vector<std::vector<uint32_t>> morsel_probe(probe_morsels);
-  const int workers = ParallelFor(
-      probe_rows, morsel, [&](size_t begin, size_t end, int) {
-        std::vector<uint32_t>& bmatch = morsel_build[begin / morsel];
-        std::vector<uint32_t>& pmatch = morsel_probe[begin / morsel];
-        bmatch.reserve(end - begin);
-        pmatch.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          const uint64_t k =
-              static_cast<uint64_t>(static_cast<int64_t>(probe_keys[i])) -
-              min_key;
-          if (k > range) continue;  // also catches keys below min (wraps)
-          for (uint32_t e = heads[k]; e != kNoEntry; e = next[e]) {
-            bmatch.push_back(e);
-            pmatch.push_back(static_cast<uint32_t>(i));
-          }
-        }
-      });
-  RecordLoop(stats, probe_rows, morsel, workers);
-  return ConcatMorselMatches(morsel_build, morsel_probe);
-}
-
-/// Cache-conscious parallel equi-join over integer keys.
-///
-/// Build side: a stable two-pass radix partitioning by hash prefix (morsel
-/// histograms -> serial offsets -> morsel scatter) yields per-partition entry
-/// arrays ordered by ascending build row; each partition then gets a private
-/// open-addressing linear-probe table sized 2x its entries, small enough to
-/// stay cache-resident while it is built and probed. Duplicate keys chain
-/// through `next` links in ascending-row order.
-///
-/// Probe side: morsels look up their keys and append matches to per-morsel
-/// buffers, which a prefix sum concatenates in probe-row order — the exact
-/// (probe ascending, build ascending within key) order of the reference join.
-template <typename TB, typename TP>
-JoinMatches PartitionedJoinMatches(const TB* build_keys, size_t build_rows,
-                                   const TP* probe_keys, size_t probe_rows,
-                                   KernelStats& stats) {
+  // Radix-partitioned build. Phase 1: per-(morsel, partition) histograms.
   const size_t morsel = MorselRows();
   constexpr size_t kMaxParts = 64;
-
   size_t parts = 1;
-  while (parts < kMaxParts && parts * morsel < build_rows) parts <<= 1;
-  const int part_bits = std::countr_zero(parts);
-  auto part_of = [part_bits](uint64_t hash) -> size_t {
-    return part_bits == 0 ? 0 : static_cast<size_t>(hash >> (64 - part_bits));
-  };
-
-  // Phase 1: per-(morsel, partition) histograms of build keys.
-  const size_t build_morsels =
-      build_rows == 0 ? 0 : (build_rows + morsel - 1) / morsel;
+  while (parts < kMaxParts && parts * morsel < rows) parts <<= 1;
+  part_bits_ = std::countr_zero(parts);
+  const size_t build_morsels = rows == 0 ? 0 : (rows + morsel - 1) / morsel;
   std::vector<uint32_t> hist(build_morsels * parts, 0);
-  int workers = ParallelFor(
-      build_rows, morsel, [&](size_t begin, size_t end, int) {
+  const int workers = ParallelFor(
+      rows, morsel, [&](size_t begin, size_t end, int) {
         uint32_t* h = hist.data() + (begin / morsel) * parts;
         for (size_t i = begin; i < end; ++i) {
-          const auto key = static_cast<int64_t>(build_keys[i]);
-          ++h[part_of(MixHash(static_cast<uint64_t>(key)))];
+          const auto key = static_cast<int64_t>(keys[i]);
+          ++h[Partition(MixHash(static_cast<uint64_t>(key)))];
         }
       });
-  RecordLoop(stats, build_rows, morsel, workers);
+  RecordLoop(stats, rows, morsel, workers);
 
   // Serial pass: partition-major offsets. Iterating morsels in order within
   // each partition keeps the scatter stable (ascending build row).
@@ -667,57 +651,51 @@ JoinMatches PartitionedJoinMatches(const TB* build_keys, size_t build_rows,
   part_begin[parts] = run;
 
   // Phase 2: stable scatter into partition-contiguous entry storage.
-  struct JoinEntry {
+  struct Entry {
     int64_t key;
     uint32_t row;
   };
-  std::vector<JoinEntry> entries(build_rows);
-  ParallelFor(build_rows, morsel, [&](size_t begin, size_t end, int) {
+  std::vector<Entry> entries(rows);
+  ParallelFor(rows, morsel, [&](size_t begin, size_t end, int) {
     size_t cursor[kMaxParts];
     std::copy_n(scatter_pos.data() + (begin / morsel) * parts, parts, cursor);
     for (size_t i = begin; i < end; ++i) {
-      const auto key = static_cast<int64_t>(build_keys[i]);
-      const size_t p = part_of(MixHash(static_cast<uint64_t>(key)));
+      const auto key = static_cast<int64_t>(keys[i]);
+      const size_t p = Partition(MixHash(static_cast<uint64_t>(key)));
       entries[cursor[p]++] = {key, static_cast<uint32_t>(i)};
     }
   });
 
-  // Phase 3: one open-addressing table per partition (linear probing,
-  // `head == kNoEntry` marks an empty slot). Partitions build in parallel;
-  // within a partition, entries insert in ascending-row order so duplicate
-  // chains replay the reference join's first-match-then-overflow order.
-  struct Slot {
-    int64_t key;
-    uint32_t head;
-    uint32_t tail;
-  };
-  std::vector<size_t> table_off(parts + 1, 0);
-  std::vector<size_t> table_mask(parts);
+  // Phase 3: one open-addressing table per partition (linear probing).
+  // Partitions build in parallel; within a partition, entries insert in
+  // ascending-row order, so duplicate chains replay the reference join's
+  // first-match-then-overflow order. Each build row lies in one partition,
+  // so the partitions' `next_` writes are disjoint.
+  table_off_.assign(parts + 1, 0);
+  table_mask_.resize(parts);
   for (size_t p = 0; p < parts; ++p) {
     const size_t count = part_begin[p + 1] - part_begin[p];
     const size_t size = std::bit_ceil(std::max<size_t>(2, 2 * count));
-    table_mask[p] = size - 1;
-    table_off[p + 1] = table_off[p] + size;
+    table_mask_[p] = size - 1;
+    table_off_[p + 1] = table_off_[p] + size;
   }
-  std::vector<Slot> slots(table_off[parts], Slot{0, kNoEntry, 0});
-  std::vector<uint32_t> next(build_rows, kNoEntry);
+  slots_.assign(table_off_[parts], Slot{0, kNoEntry, 0});
   ParallelFor(parts, 1, [&](size_t begin, size_t end, int) {
     for (size_t p = begin; p < end; ++p) {
-      Slot* table = slots.data() + table_off[p];
-      const size_t mask = table_mask[p];
+      Slot* table = slots_.data() + table_off_[p];
+      const size_t mask = table_mask_[p];
       for (size_t e = part_begin[p]; e < part_begin[p + 1]; ++e) {
-        const JoinEntry& entry = entries[e];
+        const Entry& entry = entries[e];
         size_t idx = MixHash(static_cast<uint64_t>(entry.key)) & mask;
         while (true) {
           Slot& slot = table[idx];
           if (slot.head == kNoEntry) {
-            slot = {entry.key, static_cast<uint32_t>(e),
-                    static_cast<uint32_t>(e)};
+            slot = {entry.key, entry.row, entry.row};
             break;
           }
           if (slot.key == entry.key) {
-            next[slot.tail] = static_cast<uint32_t>(e);
-            slot.tail = static_cast<uint32_t>(e);
+            next_[slot.tail] = entry.row;
+            slot.tail = entry.row;
             break;
           }
           idx = (idx + 1) & mask;
@@ -725,75 +703,42 @@ JoinMatches PartitionedJoinMatches(const TB* build_keys, size_t build_rows,
       }
     }
   });
+}
 
-  // Phase 4: probe morsels into per-morsel match buffers.
-  const size_t probe_morsels =
-      probe_rows == 0 ? 0 : (probe_rows + morsel - 1) / morsel;
-  std::vector<std::vector<uint32_t>> morsel_build(probe_morsels);
-  std::vector<std::vector<uint32_t>> morsel_probe(probe_morsels);
-  workers = ParallelFor(
+}  // namespace kernel_internal
+
+namespace {
+
+/// Probes every row of `probe_keys` against `table` in morsels. Per-morsel
+/// match buffers concatenate in probe-row order, so matches come out in the
+/// reference join's (probe ascending, build ascending within key) order.
+template <typename T>
+JoinMatches ProbeJoinTable(const JoinTable& table, const T* probe_keys,
+                           size_t probe_rows, KernelStats& stats) {
+  const size_t morsel = MorselRows();
+  MorselRowBuffers buffers(
+      probe_rows == 0 ? 0 : (probe_rows + morsel - 1) / morsel);
+  const int workers = ParallelFor(
       probe_rows, morsel, [&](size_t begin, size_t end, int) {
-        std::vector<uint32_t>& bmatch = morsel_build[begin / morsel];
-        std::vector<uint32_t>& pmatch = morsel_probe[begin / morsel];
-        // ~1 match per probe row (PK-FK); reserving that keeps the append
-        // loop realloc-free.
-        bmatch.reserve(end - begin);
-        pmatch.reserve(end - begin);
+        // Stream 0: probe rows, stream 1: build rows. ~1 match per probe row
+        // (PK-FK); reserving that keeps the append loop realloc-free.
+        std::vector<std::vector<uint32_t>>& streams = buffers[begin / morsel];
+        streams.resize(2);
+        std::vector<uint32_t>& probe_match = streams[0];
+        std::vector<uint32_t>& build_match = streams[1];
+        probe_match.reserve(end - begin);
+        build_match.reserve(end - begin);
         for (size_t i = begin; i < end; ++i) {
-          const auto key = static_cast<int64_t>(probe_keys[i]);
-          const uint64_t hash = MixHash(static_cast<uint64_t>(key));
-          const size_t p = part_of(hash);
-          const Slot* table = slots.data() + table_off[p];
-          const size_t mask = table_mask[p];
-          size_t idx = hash & mask;
-          while (true) {
-            const Slot& slot = table[idx];
-            if (slot.head == kNoEntry) break;
-            if (slot.key == key) {
-              for (uint32_t e = slot.head; e != kNoEntry; e = next[e]) {
-                bmatch.push_back(entries[e].row);
-                pmatch.push_back(static_cast<uint32_t>(i));
-              }
-              break;
-            }
-            idx = (idx + 1) & mask;
+          for (uint32_t e = table.First(static_cast<int64_t>(probe_keys[i]));
+               e != kNoEntry; e = table.Next(e)) {
+            probe_match.push_back(static_cast<uint32_t>(i));
+            build_match.push_back(e);
           }
         }
       });
   RecordLoop(stats, probe_rows, morsel, workers);
-
-  // Phase 5: concatenate per-morsel buffers in morsel (= probe row) order.
-  return ConcatMorselMatches(morsel_build, morsel_probe);
-}
-
-/// Parallel join entry point: prescans the build keys and routes dense key
-/// domains (range at most 8x the build cardinality — every generated SSB /
-/// TPC-H dimension key) to the direct-address table, everything else to the
-/// partitioned hash join.
-template <typename TB, typename TP>
-JoinMatches ParallelJoinMatches(const TB* build_keys, size_t build_rows,
-                                const TP* probe_keys, size_t probe_rows,
-                                KernelStats& stats) {
-  if (build_rows > 0) {
-    int64_t min_key = static_cast<int64_t>(build_keys[0]);
-    int64_t max_key = min_key;
-    for (size_t i = 1; i < build_rows; ++i) {
-      const auto key = static_cast<int64_t>(build_keys[i]);
-      min_key = std::min(min_key, key);
-      max_key = std::max(max_key, key);
-    }
-    const uint64_t range =
-        static_cast<uint64_t>(max_key) - static_cast<uint64_t>(min_key);
-    const uint64_t dense_limit =
-        std::max<uint64_t>(8192, 8 * static_cast<uint64_t>(build_rows));
-    if (range < dense_limit) {
-      return DirectJoinMatches(build_keys, build_rows,
-                               static_cast<uint64_t>(min_key), range,
-                               probe_keys, probe_rows, stats);
-    }
-  }
-  return PartitionedJoinMatches(build_keys, build_rows, probe_keys, probe_rows,
-                                stats);
+  std::vector<std::vector<uint32_t>> rows = ConcatMorselRows(buffers, 2);
+  return JoinMatches{std::move(rows[1]), std::move(rows[0])};
 }
 
 Result<TablePtr> MaterializeJoinOutput(const Table& build, const Table& probe,
@@ -1026,95 +971,110 @@ Result<TablePtr> AggregateReference(
   return output;
 }
 
+namespace kernel_internal {
+
+std::optional<GroupKeyPacker> GroupKeyPacker::Make(
+    const std::vector<const Column*>& columns) {
+  const size_t num_cols = columns.size();
+  std::vector<Field> fields(num_cols);
+  size_t max_rows = 0;
+  for (size_t c = 0; c < num_cols; ++c) {
+    const Column& column = *columns[c];
+    Field& field = fields[c];
+    field.column = c;
+    switch (column.type()) {
+      case DataType::kInt32:
+        field.i32 = static_cast<const Int32Column&>(column).values().data();
+        break;
+      case DataType::kString:
+        field.i32 = static_cast<const StringColumn&>(column).codes().data();
+        break;
+      case DataType::kInt64:
+        field.i64 = static_cast<const Int64Column&>(column).values().data();
+        break;
+      case DataType::kDouble:
+        return std::nullopt;
+    }
+    max_rows = std::max(max_rows, column.num_rows());
+  }
+
+  // Prescan: per-worker, per-column min/max, reduced serially.
+  const size_t morsel = MorselRows();
+  const auto max_workers =
+      static_cast<size_t>(MaxParallelWorkers(max_rows, morsel));
+  std::vector<int64_t> wmin(max_workers * num_cols,
+                            std::numeric_limits<int64_t>::max());
+  std::vector<int64_t> wmax(max_workers * num_cols,
+                            std::numeric_limits<int64_t>::min());
+  ParallelFor(max_rows, morsel, [&](size_t begin, size_t end, int worker) {
+    for (size_t c = 0; c < num_cols; ++c) {
+      const size_t slot = static_cast<size_t>(worker) * num_cols + c;
+      const size_t stop = std::min(end, columns[c]->num_rows());
+      int64_t lo = wmin[slot], hi = wmax[slot];
+      for (size_t i = begin; i < stop; ++i) {
+        const int64_t v = fields[c].Value(i);
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+      }
+      wmin[slot] = lo;
+      wmax[slot] = hi;
+    }
+  });
+
+  GroupKeyPacker packer;
+  int shift = 0;
+  for (size_t c = 0; c < num_cols; ++c) {
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (size_t w = 0; w < max_workers; ++w) {
+      lo = std::min(lo, wmin[w * num_cols + c]);
+      hi = std::max(hi, wmax[w * num_cols + c]);
+    }
+    if (lo > hi) continue;  // empty column: no rows to tell apart
+    const int width = std::bit_width(static_cast<uint64_t>(hi) -
+                                     static_cast<uint64_t>(lo));
+    if (width == 0) continue;  // a constant column adds no information
+    if (shift + width > 64) return std::nullopt;
+    fields[c].min = static_cast<uint64_t>(lo);
+    fields[c].shift = shift;
+    shift += width;
+    packer.fields_.push_back(fields[c]);
+  }
+  return packer;
+}
+
+void GroupTable::Grow() {
+  const size_t new_size = std::max<size_t>(1024, slot_gids_.size() * 2);
+  std::vector<uint64_t> old_keys = std::move(slot_keys_);
+  std::vector<uint32_t> old_gids = std::move(slot_gids_);
+  slot_keys_.assign(new_size, 0);
+  slot_gids_.assign(new_size, kNoEntry);
+  const size_t mask = new_size - 1;
+  for (size_t i = 0; i < old_gids.size(); ++i) {
+    if (old_gids[i] == kNoEntry) continue;
+    size_t idx = MixHash(old_keys[i]) & mask;
+    while (slot_gids_[idx] != kNoEntry) idx = (idx + 1) & mask;
+    slot_keys_[idx] = old_keys[i];
+    slot_gids_[idx] = old_gids[i];
+  }
+}
+
+}  // namespace kernel_internal
+
 namespace {
-
-/// One group-by column lowered to a typed pointer for key packing.
-struct KeyCol {
-  enum class Kind { kInt32, kInt64, kCodes };
-  Kind kind = Kind::kInt32;
-  const int32_t* i32 = nullptr;
-  const int64_t* i64 = nullptr;
-  const int32_t* codes = nullptr;
-
-  int64_t At(size_t row) const {
-    switch (kind) {
-      case Kind::kInt32:
-        return i32[row];
-      case Kind::kInt64:
-        return i64[row];
-      case Kind::kCodes:
-        return codes[row];
-    }
-    return 0;
-  }
-};
-
-/// Worker-local open-addressing group table over packed 64-bit keys.
-struct LocalGroups {
-  std::vector<uint64_t> slot_keys;
-  std::vector<uint32_t> slot_gids;  // kNoEntry = empty slot
-  std::vector<uint64_t> keys;       // local gid -> packed key
-  std::vector<uint32_t> min_rows;   // local gid -> smallest row seen here
-  std::vector<uint64_t> counts;     // local gid -> rows seen here
-
-  void Init() {
-    slot_keys.assign(1024, 0);
-    slot_gids.assign(1024, kNoEntry);
-  }
-
-  uint32_t Add(uint64_t key, uint32_t row) {
-    if ((keys.size() + 1) * 2 > slot_gids.size()) Grow();
-    const size_t mask = slot_gids.size() - 1;
-    size_t idx = MixHash(key) & mask;
-    while (true) {
-      const uint32_t gid = slot_gids[idx];
-      if (gid == kNoEntry) {
-        const auto fresh = static_cast<uint32_t>(keys.size());
-        slot_keys[idx] = key;
-        slot_gids[idx] = fresh;
-        keys.push_back(key);
-        min_rows.push_back(row);
-        counts.push_back(1);
-        return fresh;
-      }
-      if (slot_keys[idx] == key) {
-        min_rows[gid] = std::min(min_rows[gid], row);
-        ++counts[gid];
-        return gid;
-      }
-      idx = (idx + 1) & mask;
-    }
-  }
-
-  void Grow() {
-    const size_t new_size = slot_gids.size() * 2;
-    std::vector<uint64_t> old_keys = std::move(slot_keys);
-    std::vector<uint32_t> old_gids = std::move(slot_gids);
-    slot_keys.assign(new_size, 0);
-    slot_gids.assign(new_size, kNoEntry);
-    const size_t mask = new_size - 1;
-    for (size_t i = 0; i < old_gids.size(); ++i) {
-      if (old_gids[i] == kNoEntry) continue;
-      size_t idx = MixHash(old_keys[i]) & mask;
-      while (slot_gids[idx] != kNoEntry) idx = (idx + 1) & mask;
-      slot_keys[idx] = old_keys[i];
-      slot_gids[idx] = old_gids[i];
-    }
-  }
-};
 
 /// Morsel-parallel aggregation over packed 64-bit group keys.
 ///
-/// A parallel min/max prescan sizes each key column's bit field; if the
-/// composite key does not fit in 64 bits the kernel falls back to
-/// AggregateReference (identical results either way). Phase 1 builds
+/// GroupKeyPacker sizes each key column's bit field; if it declines (the
+/// composite key does not fit in 64 bits, or a double column the reference
+/// traps) the kernel falls back to AggregateReference. Phase 1 builds
 /// worker-local group tables (thread-local preaggregation: no shared-table
-/// contention) and tags
-/// every row with its local gid. A serial merge orders the global groups by
-/// their smallest input row — exactly the reference's first-seen order —
-/// and remaps (worker, local gid) to global ranks. A serial stable scatter
-/// then groups row ids, and phase 2 accumulates each group's rows in
-/// ascending order (the reference FP operation order) in parallel over groups.
+/// contention) and tags every row with its local gid. A serial merge orders
+/// the global groups by their smallest input row — exactly the reference's
+/// first-seen order — and remaps (worker, local gid) to global ranks. A
+/// serial stable scatter then groups row ids, and phase 2 accumulates each
+/// group's rows in ascending order (the reference FP operation order) in
+/// parallel over groups.
 Result<TablePtr> AggregateParallel(const Table& input,
                                    const std::vector<std::string>& group_by,
                                    const std::vector<AggregateSpec>& aggregates,
@@ -1126,128 +1086,64 @@ Result<TablePtr> AggregateParallel(const Table& input,
   HETDB_RETURN_NOT_OK(ResolveAggregateColumns(input, group_by, aggregates,
                                               &group_cols, &agg_inputs));
 
-  const size_t num_keys = group_cols.size();
-  std::vector<KeyCol> key_cols(num_keys);
-  for (size_t c = 0; c < num_keys; ++c) {
-    const Column& column = *group_cols[c];
-    switch (column.type()) {
-      case DataType::kInt32:
-        key_cols[c].kind = KeyCol::Kind::kInt32;
-        key_cols[c].i32 =
-            static_cast<const Int32Column&>(column).values().data();
-        break;
-      case DataType::kInt64:
-        key_cols[c].kind = KeyCol::Kind::kInt64;
-        key_cols[c].i64 =
-            static_cast<const Int64Column&>(column).values().data();
-        break;
-      case DataType::kString:
-        key_cols[c].kind = KeyCol::Kind::kCodes;
-        key_cols[c].codes =
-            static_cast<const StringColumn&>(column).codes().data();
-        break;
-      case DataType::kDouble:
-        // Same programming error the reference traps in IntKeyAt.
-        HETDB_LOG(Fatal) << "group-by on double column " << column.name();
-    }
+  std::vector<const Column*> key_columns;
+  for (const ColumnPtr& column : group_cols) key_columns.push_back(column.get());
+  const std::optional<GroupKeyPacker> packer = GroupKeyPacker::Make(key_columns);
+  if (!packer.has_value()) {
+    return AggregateReference(input, group_by, aggregates, name);
   }
 
   const size_t morsel = MorselRows();
   const size_t num_morsels = (n + morsel - 1) / morsel;
   const int max_workers = MaxParallelWorkers(n, morsel);
 
-  // Prescan: per-column min/max (per worker, then reduced) for bit packing.
-  std::vector<int64_t> wmin(static_cast<size_t>(max_workers) * num_keys,
-                            std::numeric_limits<int64_t>::max());
-  std::vector<int64_t> wmax(static_cast<size_t>(max_workers) * num_keys,
-                            std::numeric_limits<int64_t>::min());
-  ParallelFor(n, morsel, [&](size_t begin, size_t end, int worker) {
-    int64_t* mins = wmin.data() + static_cast<size_t>(worker) * num_keys;
-    int64_t* maxs = wmax.data() + static_cast<size_t>(worker) * num_keys;
-    for (size_t c = 0; c < num_keys; ++c) {
-      const KeyCol& key_col = key_cols[c];
-      int64_t lo = mins[c], hi = maxs[c];
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t v = key_col.At(i);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-      mins[c] = lo;
-      maxs[c] = hi;
-    }
-  });
-  std::vector<int64_t> cmin(num_keys, std::numeric_limits<int64_t>::max());
-  std::vector<int64_t> cmax(num_keys, std::numeric_limits<int64_t>::min());
-  for (int w = 0; w < max_workers; ++w) {
-    for (size_t c = 0; c < num_keys; ++c) {
-      cmin[c] = std::min(cmin[c], wmin[static_cast<size_t>(w) * num_keys + c]);
-      cmax[c] = std::max(cmax[c], wmax[static_cast<size_t>(w) * num_keys + c]);
-    }
-  }
-
-  std::vector<int> bits(num_keys, 0);
-  int total_bits = 0;
-  for (size_t c = 0; c < num_keys; ++c) {
-    const uint64_t range = static_cast<uint64_t>(cmax[c]) -
-                           static_cast<uint64_t>(cmin[c]);
-    bits[c] = std::bit_width(range);
-    total_bits += bits[c];
-  }
-  if (total_bits > 64) {
-    // Composite key too wide to pack: the byte-string reference handles it.
-    return AggregateReference(input, group_by, aggregates, name);
-  }
-
-  auto pack = [&](size_t row) -> uint64_t {
-    uint64_t key = 0;
-    for (size_t c = 0; c < num_keys; ++c) {
-      if (bits[c] == 0) continue;  // constant column adds no information
-      const uint64_t enc = static_cast<uint64_t>(key_cols[c].At(row)) -
-                           static_cast<uint64_t>(cmin[c]);
-      // bits[c] == 64 implies this is the only contributing column; the
-      // guarded form avoids the undefined 64-bit shift.
-      key = bits[c] == 64 ? enc : ((key << bits[c]) | enc);
-    }
-    return key;
-  };
-
   // Phase 1: worker-local preaggregation tables; rows keep their local gid.
-  std::vector<LocalGroups> locals(max_workers);
+  struct WorkerGroups {
+    GroupTable table;
+    std::vector<uint32_t> min_rows;  // local gid -> smallest row seen here
+    std::vector<uint64_t> counts;    // local gid -> rows seen here
+  };
+  std::vector<WorkerGroups> locals(max_workers);
   std::vector<uint32_t> local_gid_of_row(n);
   std::vector<int> morsel_worker(num_morsels, 0);
   const int workers = ParallelFor(
       n, morsel, [&](size_t begin, size_t end, int worker) {
-        LocalGroups& local = locals[worker];
-        if (local.slot_gids.empty()) local.Init();
+        WorkerGroups& local = locals[worker];
         morsel_worker[begin / morsel] = worker;
         for (size_t i = begin; i < end; ++i) {
-          local_gid_of_row[i] =
-              local.Add(pack(i), static_cast<uint32_t>(i));
+          const auto row = static_cast<uint32_t>(i);
+          const uint32_t gid = local.table.FindOrAdd(packer->Pack(i));
+          if (gid == local.counts.size()) {
+            local.min_rows.push_back(row);
+            local.counts.push_back(1);
+          } else {
+            local.min_rows[gid] = std::min(local.min_rows[gid], row);
+            ++local.counts[gid];
+          }
+          local_gid_of_row[i] = gid;
         }
       });
   RecordLoop(stats, n, morsel, workers);
 
   // Serial merge: unify worker tables, order groups by smallest input row
   // (= the reference's first-seen order), remap local gids to ranks.
-  std::unordered_map<uint64_t, uint32_t> merged_id;
+  GroupTable merged;
   std::vector<uint32_t> merged_min;
   std::vector<uint64_t> merged_count;
   std::vector<std::vector<uint32_t>> remap(max_workers);
   for (int w = 0; w < max_workers; ++w) {
-    const LocalGroups& local = locals[w];
-    remap[w].resize(local.keys.size());
-    for (size_t l = 0; l < local.keys.size(); ++l) {
-      auto [it, inserted] = merged_id.emplace(
-          local.keys[l], static_cast<uint32_t>(merged_min.size()));
-      if (inserted) {
+    const WorkerGroups& local = locals[w];
+    remap[w].resize(local.table.size());
+    for (uint32_t l = 0; l < local.table.size(); ++l) {
+      const uint32_t id = merged.FindOrAdd(local.table.key(l));
+      if (id == merged_min.size()) {
         merged_min.push_back(local.min_rows[l]);
         merged_count.push_back(local.counts[l]);
       } else {
-        merged_min[it->second] =
-            std::min(merged_min[it->second], local.min_rows[l]);
-        merged_count[it->second] += local.counts[l];
+        merged_min[id] = std::min(merged_min[id], local.min_rows[l]);
+        merged_count[id] += local.counts[l];
       }
-      remap[w][l] = it->second;
+      remap[w][l] = id;
     }
   }
   const size_t num_groups = merged_min.size();
@@ -1356,28 +1252,18 @@ Result<TablePtr> HashJoin(const Table& build, const std::string& build_key,
   HETDB_CHECK(probe_key_col->type() == DataType::kInt32 ||
               probe_key_col->type() == DataType::kInt64);
 
-  const size_t build_rows = build.num_rows();
+  const JoinTable table(*build_key_col, stats);
   const size_t probe_rows = probe.num_rows();
-  JoinMatches matches;
-  auto dispatch = [&](const auto& build_values, const auto& probe_values) {
-    matches = ParallelJoinMatches(build_values.data(), build_rows,
-                                  probe_values.data(), probe_rows, stats);
-  };
-  if (build_key_col->type() == DataType::kInt32) {
-    const auto& bv = static_cast<const Int32Column&>(*build_key_col).values();
-    if (probe_key_col->type() == DataType::kInt32) {
-      dispatch(bv, static_cast<const Int32Column&>(*probe_key_col).values());
-    } else {
-      dispatch(bv, static_cast<const Int64Column&>(*probe_key_col).values());
-    }
-  } else {
-    const auto& bv = static_cast<const Int64Column&>(*build_key_col).values();
-    if (probe_key_col->type() == DataType::kInt32) {
-      dispatch(bv, static_cast<const Int32Column&>(*probe_key_col).values());
-    } else {
-      dispatch(bv, static_cast<const Int64Column&>(*probe_key_col).values());
-    }
-  }
+  const JoinMatches matches =
+      probe_key_col->type() == DataType::kInt32
+          ? ProbeJoinTable(
+                table,
+                static_cast<const Int32Column&>(*probe_key_col).values().data(),
+                probe_rows, stats)
+          : ProbeJoinTable(
+                table,
+                static_cast<const Int64Column&>(*probe_key_col).values().data(),
+                probe_rows, stats);
   return MaterializeJoinOutput(build, probe, output_spec, matches, name);
 }
 

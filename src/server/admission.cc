@@ -6,26 +6,6 @@
 
 namespace hetdb {
 
-namespace {
-
-const char* ThrashStateName(ThrashingDetector::State state) {
-  return ThrashingDetector::StateName(state);
-}
-
-const char* BreakerStateName(DeviceCircuitBreaker::State state) {
-  switch (state) {
-    case DeviceCircuitBreaker::State::kClosed:
-      return "closed";
-    case DeviceCircuitBreaker::State::kOpen:
-      return "open";
-    case DeviceCircuitBreaker::State::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 AdmissionController::AdmissionController(const AdmissionOptions& options,
                                          MetricRegistry* registry,
                                          FlightRecorder* recorder,
@@ -278,8 +258,8 @@ void AdmissionController::AdjustLimitLocked() {
           "admission.governor",
           "limit=" + std::to_string(before),
           "limit=" + std::to_string(limit_) + " thrash=" +
-              ThrashStateName(signals.thrash) + " breaker=" +
-              BreakerStateName(signals.breaker) + " brownout=L" +
+              ThrashingDetector::StateName(signals.thrash) + " breaker=" +
+              BreakerStateToString(signals.breaker) + " brownout=L" +
               std::to_string(signals.brownout_level));
     }
     if (limit_ > before) {

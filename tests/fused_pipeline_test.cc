@@ -7,8 +7,10 @@
 // SSB query.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -260,51 +262,130 @@ TEST_F(FusedPipelineTest, EmptySourceTable) {
   EXPECT_EQ(fused->num_rows(), 0u);
 }
 
-TEST_F(FusedPipelineTest, NoMatchProbesAndDuplicateBuildKeys) {
-  // Build side with duplicate keys (1:N matches) plus keys that never match.
+/// fact(fk, v, a, b): 500 rows probing keys (i % 20) * `stride`, with two
+/// int64 columns spanning the full int64 range. dim(key, weight): build
+/// keys 3,3,4,5,5,5,6,7 (times `stride`), so probe hits fan out and keys
+/// 0..2 and 8..19 miss, plus `filler` rows whose keys no probe has.
+DatabasePtr MakeDuplicateKeyDb(int32_t stride, int32_t filler) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   auto db = std::make_shared<Database>();
   auto fact = std::make_shared<Table>("fact");
   std::vector<int32_t> fk, v;
+  std::vector<int64_t> a, b;
   for (int i = 0; i < 500; ++i) {
-    fk.push_back(i % 20);  // keys 0..19; build only covers 3..7
+    fk.push_back(i % 20 * stride);
+    v.push_back(i % 13);
+    a.push_back(std::vector<int64_t>{kMin, 0, kMax}[i % 3]);
+    b.push_back(std::vector<int64_t>{kMax, -1, kMin, 7}[i % 4]);
+  }
+  EXPECT_TRUE(
+      fact->AddColumn(std::make_shared<Int32Column>("fk", std::move(fk))).ok());
+  EXPECT_TRUE(
+      fact->AddColumn(std::make_shared<Int32Column>("v", std::move(v))).ok());
+  EXPECT_TRUE(
+      fact->AddColumn(std::make_shared<Int64Column>("a", std::move(a))).ok());
+  EXPECT_TRUE(
+      fact->AddColumn(std::make_shared<Int64Column>("b", std::move(b))).ok());
+  EXPECT_TRUE(db->AddTable(fact).ok());
+  auto dim = std::make_shared<Table>("dim");
+  std::vector<int32_t> key{3, 3, 4, 5, 5, 5, 6, 7};
+  std::vector<int32_t> weight{1, 2, 3, 4, 5, 6, 7, 8};
+  for (int32_t& k : key) k *= stride;
+  for (int32_t j = 0; j < filler; ++j) {
+    key.push_back((20 + j) * stride);
+    weight.push_back(j % 9);
+  }
+  EXPECT_TRUE(
+      dim->AddColumn(std::make_shared<Int32Column>("key", std::move(key))).ok());
+  EXPECT_TRUE(dim->AddColumn(std::make_shared<Int32Column>("weight",
+                                                           std::move(weight)))
+                  .ok());
+  EXPECT_TRUE(db->AddTable(dim).ok());
+  return db;
+}
+
+TEST_F(FusedPipelineTest, NoMatchProbesAndDuplicateBuildKeys) {
+  // Dense build keys take the direct-address join table. Sparse ones (a
+  // key range far above 8x the 2008 build rows) take the radix-partitioned
+  // build, with 8 partitions at the 256-row test morsel.
+  struct BuildSide {
+    int32_t stride;
+    int32_t filler;
+  };
+  for (const BuildSide side : {BuildSide{1, 0}, BuildSide{100'003, 2'000}}) {
+    SCOPED_TRACE("stride=" + std::to_string(side.stride));
+    DatabasePtr db = MakeDuplicateKeyDb(side.stride, side.filler);
+    // Group by the probe key (5 groups: probe keys 3..7 survive), and by
+    // two full-range int64 columns: a 128-bit composite key that no group
+    // table packs, so both paths take their byte-string group keys.
+    for (const auto& [group_by, groups] :
+         std::vector<std::pair<std::vector<std::string>, size_t>>{
+             {{"fk"}, 5}, {{"a", "b"}, 12}}) {
+      PlanNodePtr select = std::make_shared<SelectNode>(
+          std::make_shared<ScanNode>(
+              db->GetTable("fact").value(),
+              std::vector<std::string>{"fk", "v", "a", "b"}),
+          ConjunctiveFilter::And({Predicate::Gt("v", int64_t{1})}));
+      JoinOutputSpec spec;
+      spec.build_columns = {"weight"};
+      spec.build_aliases = {"w"};
+      spec.probe_columns = {"v", "fk", "a", "b"};
+      PlanNodePtr join = std::make_shared<JoinNode>(
+          std::make_shared<ScanNode>(db->GetTable("dim").value(),
+                                     std::vector<std::string>{"key", "weight"}),
+          std::move(select), "key", "fk", spec);
+      PlanNodePtr agg = std::make_shared<AggregateNode>(
+          std::move(join), group_by,
+          std::vector<AggregateSpec>{{AggregateFn::kSum, "w", "wsum"},
+                                     {AggregateFn::kMax, "v", "vmax"}});
+      for (int threads : ThreadCounts()) {
+        TablePtr fused =
+            ExpectFusionParity(db, agg, Strategy::kCpuOnly, threads);
+        ASSERT_NE(fused, nullptr);
+        EXPECT_EQ(fused->num_rows(), groups);
+      }
+    }
+  }
+}
+
+TEST_F(FusedPipelineTest, FullWidthKeyThenConstantGroupColumn) {
+  // The int64 key spans all 64 bits, so the constant int32 column after it
+  // must add no bit field (a field there would need a 64-bit shift).
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto db = std::make_shared<Database>();
+  auto table = std::make_shared<Table>("t");
+  std::vector<int64_t> wide;
+  std::vector<int32_t> one, v;
+  for (int i = 0; i < 1000; ++i) {
+    wide.push_back(std::vector<int64_t>{kMin, 0, kMax}[i % 3]);
+    one.push_back(1);
     v.push_back(i % 13);
   }
   ASSERT_TRUE(
-      fact->AddColumn(std::make_shared<Int32Column>("fk", std::move(fk))).ok());
+      table->AddColumn(std::make_shared<Int64Column>("wide", std::move(wide)))
+          .ok());
   ASSERT_TRUE(
-      fact->AddColumn(std::make_shared<Int32Column>("v", std::move(v))).ok());
-  ASSERT_TRUE(db->AddTable(fact).ok());
-  auto dim = std::make_shared<Table>("dim");
-  // Duplicate keys: 3,3,4,5,5,5,6,7 — each probe hit fans out.
-  std::vector<int32_t> key{3, 3, 4, 5, 5, 5, 6, 7};
-  std::vector<int32_t> weight{1, 2, 3, 4, 5, 6, 7, 8};
+      table->AddColumn(std::make_shared<Int32Column>("one", std::move(one)))
+          .ok());
   ASSERT_TRUE(
-      dim->AddColumn(std::make_shared<Int32Column>("key", std::move(key))).ok());
-  ASSERT_TRUE(dim->AddColumn(std::make_shared<Int32Column>("weight",
-                                                           std::move(weight)))
-                  .ok());
-  ASSERT_TRUE(db->AddTable(dim).ok());
-
-  PlanNodePtr select = std::make_shared<SelectNode>(
-      std::make_shared<ScanNode>(db->GetTable("fact").value(),
-                                 std::vector<std::string>{"fk", "v"}),
-      ConjunctiveFilter::And({Predicate::Gt("v", int64_t{1})}));
-  JoinOutputSpec spec;
-  spec.build_columns = {"weight"};
-  spec.build_aliases = {"w"};
-  spec.probe_columns = {"v", "fk"};
-  PlanNodePtr join = std::make_shared<JoinNode>(
-      std::make_shared<ScanNode>(db->GetTable("dim").value(),
-                                 std::vector<std::string>{"key", "weight"}),
-      std::move(select), "key", "fk", spec);
+      table->AddColumn(std::make_shared<Int32Column>("v", std::move(v))).ok());
+  ASSERT_TRUE(db->AddTable(table).ok());
   PlanNodePtr agg = std::make_shared<AggregateNode>(
-      std::move(join), std::vector<std::string>{"fk"},
-      std::vector<AggregateSpec>{{AggregateFn::kSum, "w", "wsum"},
-                                 {AggregateFn::kMax, "v", "vmax"}});
+      std::make_shared<SelectNode>(
+          std::make_shared<ScanNode>(
+              db->GetTable("t").value(),
+              std::vector<std::string>{"wide", "one", "v"}),
+          ConjunctiveFilter::And({Predicate::Gt("v", int64_t{1})})),
+      std::vector<std::string>{"wide", "one"},
+      std::vector<AggregateSpec>{{AggregateFn::kSum, "v", "total"},
+                                 {AggregateFn::kCount, "", "n"}});
+  ASSERT_EQ(CountFusedNodes(FusePipelines(agg)), 1u);
   for (int threads : ThreadCounts()) {
     TablePtr fused = ExpectFusionParity(db, agg, Strategy::kCpuOnly, threads);
     ASSERT_NE(fused, nullptr);
-    EXPECT_EQ(fused->num_rows(), 5u);  // probe keys 3..7 survive
+    EXPECT_EQ(fused->num_rows(), 3u);
   }
 }
 
