@@ -21,9 +21,10 @@ how the host performs — and every sweep point must report its tenants.
 Usage:
   scripts/check_bench.py serve_slo.json --serve-slo [--shed-tolerance 0.0]
 
-The --scaleout, --availability and --fig17 gates read the JSON artifact of
-one paper_figures figure (paper_figures --figure NAME --json FILE): the
-figure name, its flags, and each printed table's title, columns and rows.
+The --scaleout, --availability, --fig17 and --fig14 gates read the JSON
+artifact of one paper_figures figure (paper_figures --figure NAME --json
+FILE): the figure name, its flags, and each printed table's title, columns
+and rows.
 
 With --scaleout the candidate is a fig18_scaleout artifact and the gate
 checks multi-device sanity: every sweep point must finish its queries with
@@ -59,6 +60,15 @@ clock, so the ratio holds on any host.
 Usage:
   scripts/check_bench.py fig17.json --fig17
 
+With --fig14 the candidate is a fig14_scale_ssb artifact and the gate
+checks the paper's headline claim (Figure 14(a)) that Data-Driven Chopping
+is never slower than CPU Only: at every scale factor it must take at most
+1.2x CPU Only's workload time. The slack covers run-to-run spread; the
+largest ratio seen in repeated runs was 1.04.
+
+Usage:
+  scripts/check_bench.py fig14.json --fig14
+
 Exit code 0 = within tolerance, 1 = regression, 2 = malformed input.
 """
 
@@ -71,6 +81,7 @@ FAMILIES = ["Filter", "HashJoin", "Aggregate"]
 PARALLEL_DOP = 8
 FUSION_DOP = 8
 FIG17_MIN_GPU_SLOWDOWN = 1.2
+FIG14_MAX_DDC_OVER_CPU = 1.2
 
 
 def load_medians(path):
@@ -343,6 +354,45 @@ def check_fig17(path):
     return 0
 
 
+def check_fig14(path):
+    """Gate on a fig14_scale_ssb artifact: DD-Chopping never behind CPU Only."""
+    tables = load_figure(path, "fig14_scale_ssb")
+    if tables is None:
+        return 2
+    points = tables[0] if tables else []
+    if not points:
+        print(f"error: {path} holds no scale factors", file=sys.stderr)
+        return 2
+
+    failures = []
+    print(f"{'sf':<6}{'cpu_ms':>10}{'ddc_ms':>10}{'ddc/cpu':>9}")
+    for point in points:
+        sf = point.get("sf", "?")
+        cpu = point.get("CPU Only[ms]", -1.0)
+        ddc = point.get("Data-Driven Chopping[ms]", -1.0)
+        if cpu <= 0 or ddc <= 0:
+            failures.append(
+                f"SF {sf}: missing CPU Only/Data-Driven Chopping time")
+            continue
+        ratio = ddc / cpu
+        print(f"{sf:<6}{cpu:>10.1f}{ddc:>10.1f}{ratio:>9.2f}")
+        if ratio > FIG14_MAX_DDC_OVER_CPU:
+            failures.append(
+                f"SF {sf}: Data-Driven Chopping {ddc:.1f} ms is {ratio:.2f}x "
+                f"CPU Only {cpu:.1f} ms (ceiling "
+                f"{FIG14_MAX_DDC_OVER_CPU:.2f}x) — Figure 14's "
+                f"never-slower-than-CPU claim no longer reproduces")
+
+    if failures:
+        print("\nREGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"\nOK: Data-Driven Chopping <= {FIG14_MAX_DDC_OVER_CPU:.2f}x CPU "
+          f"Only at every scale factor")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("candidate", help="fresh benchmark JSON to check")
@@ -362,6 +412,9 @@ def main():
     parser.add_argument("--fig17", action="store_true",
                         help="treat candidate as a paper_figures "
                              "fig17_query_times_sf30 artifact")
+    parser.add_argument("--fig14", action="store_true",
+                        help="treat candidate as a paper_figures "
+                             "fig14_scale_ssb artifact")
     parser.add_argument("--goodput-floor", type=float, default=0.1,
                         help="device-loss goodput floor as a fraction of "
                              "baseline goodput for --availability "
@@ -391,6 +444,8 @@ def main():
                                   args.recovery_ceiling)
     if args.fig17:
         return check_fig17(args.candidate)
+    if args.fig14:
+        return check_fig14(args.candidate)
 
     baseline = load_medians(args.baseline)
     candidate = load_medians(args.candidate)

@@ -117,7 +117,10 @@ DataCache::Access DataCache::RequireOnDevice(const ColumnPtr& column,
         // Marked for eviction while we waited: treat as a miss below.
       }
       ++stats_.misses;
-      const bool admit = !admission_gate_ || admission_gate_();
+      // An entry pending eviction still holds the key (and its leases and
+      // bytes) until its last lease drops: load around it, transiently.
+      const bool admit = it == entries_.end() &&
+                         (!admission_gate_ || admission_gate_());
       if (admit && bytes <= capacity_bytes_ && EvictUntilFits(bytes)) {
         // Reserve the entry in "loading" state, transfer outside the lock.
         Entry entry;

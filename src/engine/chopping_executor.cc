@@ -1,5 +1,7 @@
 #include "engine/chopping_executor.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <functional>
 #include <string>
@@ -37,6 +39,18 @@ uint64_t PlanTemplateFingerprint(const PlanNode& root) {
   return fingerprint;
 }
 
+/// Names a pool worker ("hetdb-cpu", "hetdb-gpu<d>") for debuggers, `top
+/// -H` and sanitizer reports. Set by the creating thread, so the name is in
+/// place when the constructor returns.
+void NameThread(std::thread& thread, const std::string& name) {
+#if defined(__linux__)
+  pthread_setname_np(thread.native_handle(), name.substr(0, 15).c_str());
+#else
+  (void)thread;
+  (void)name;
+#endif
+}
+
 }  // namespace
 
 ChoppingExecutor::ChoppingExecutor(EngineContext* ctx, int cpu_workers,
@@ -49,6 +63,7 @@ ChoppingExecutor::ChoppingExecutor(EngineContext* ctx, int cpu_workers,
   workers_.reserve(cpu_workers_ + gpu_workers_ * devices);
   for (int i = 0; i < cpu_workers_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(0); });
+    NameThread(workers_.back(), "hetdb-cpu");
   }
   // Each device gets its own pool: the pool size per device stays the heap
   // contention knob, and N devices run N pools' worth of operators at once.
@@ -56,6 +71,7 @@ ChoppingExecutor::ChoppingExecutor(EngineContext* ctx, int cpu_workers,
     for (int i = 0; i < gpu_workers_; ++i) {
       workers_.emplace_back(
           [this, d] { WorkerLoop(QueueIndex(ProcessorKind::kGpu, d)); });
+      NameThread(workers_.back(), "hetdb-gpu" + std::to_string(d));
     }
   }
 }

@@ -81,9 +81,9 @@ struct QueryControls {
 ///    and joins every worker.
 class ChoppingExecutor {
  public:
-  /// Starts `cpu_workers` CPU workers and `gpu_workers` workers per device.
-  /// With both zero the executor starts no thread and serves ExecuteInline
-  /// only.
+  /// Starts `cpu_workers` CPU workers and `gpu_workers` workers per device,
+  /// named "hetdb-cpu" and "hetdb-gpu<device>". With both zero the executor
+  /// starts no thread and serves ExecuteInline only.
   explicit ChoppingExecutor(EngineContext* ctx, int cpu_workers = 0,
                             int gpu_workers = 0);
   ~ChoppingExecutor();

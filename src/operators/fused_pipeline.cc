@@ -1,6 +1,7 @@
 #include "operators/fused_pipeline.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -646,6 +647,42 @@ size_t FusedPipelineNode::IntermediateDeviceBytes(
     if (1 + j < inputs.size() && inputs[1 + j] != nullptr) {
       bytes += 2 * inputs[1 + j]->data_bytes();
     }
+  }
+  return bytes;
+}
+
+size_t FusedPipelineNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  // Binding reads the source's schema and dictionaries, never its rows. A
+  // chain that does not bind replays its members: no bound.
+  Result<BoundChain> bound = BindChain(members_, inputs);
+  if (!bound.ok()) return std::numeric_limits<size_t>::max();
+  if (bound->aggregate != nullptr) {
+    // The groups, by the input that supplies each group-by column: value
+    // ranges may come from the build sides only, the source streams.
+    std::vector<GroupKeySource> sources(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      sources[i].rows = inputs[i]->num_rows();
+      sources[i].scan_values = i > 0;
+    }
+    for (const Binding& b : bound->group_bindings) {
+      sources[StreamOf(b)].columns.push_back(b.column.get());
+    }
+    return AggregateResultBytesBound(sources,
+                                     bound->aggregate->aggregates().size());
+  }
+  // One output row per match; each join level multiplies a match by at
+  // most its build side's largest key multiplicity.
+  size_t matches = inputs[0]->num_rows();
+  for (const BoundJoin& join : bound->joins) {
+    matches = SaturatingMul(matches, MaxKeyMultiplicity(*join.build_key));
+  }
+  size_t bytes = 0;
+  for (const SchemaCol& col : bound->schema) {
+    bytes = SaturatingAdd(
+        bytes, col.binding.kind == Binding::Kind::kComputed
+                   ? SaturatingMul(matches, sizeof(int64_t))
+                   : GatheredBytes(*col.binding.column, matches));
   }
   return bytes;
 }

@@ -21,7 +21,9 @@ namespace hetdb {
 /// either gathers the output columns once or folds matches straight into
 /// aggregation accumulators. On the simulated device the footprint shrinks
 /// accordingly: `IntermediateDeviceBytes` charges only the join build tables
-/// — no flag arrays, no per-member intermediates (DESIGN.md §11).
+/// — no flag arrays, no per-member intermediates (DESIGN.md §11) — and
+/// `ResultDeviceBytesBound` charges an aggregate terminal its groups, not
+/// the source it streams.
 ///
 /// Results are bit-identical to the unfused chain: the same CNF keep-mask,
 /// the same join tables and so the same (probe ascending, build ascending
@@ -45,6 +47,8 @@ class FusedPipelineNode : public PlanNode {
   Result<TablePtr> ComputeResult(
       const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
+      const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
       const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 

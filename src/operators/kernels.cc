@@ -1059,6 +1059,94 @@ void GroupTable::Grow() {
   }
 }
 
+size_t GatheredBytes(const Column& source, size_t rows) {
+  const size_t values = SaturatingMul(rows, DataTypeWidth(source.type()));
+  if (source.type() != DataType::kString) return values;
+  return SaturatingAdd(
+      values, static_cast<const StringColumn&>(source).dictionary_bytes());
+}
+
+namespace {
+
+/// max - min + 1 over `values` (0 when empty).
+template <typename T>
+size_t ValueRange(const std::vector<T>& values) {
+  if (values.empty()) return 0;
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  return SaturatingAdd(
+      static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo), 1);
+}
+
+/// Distinct values of `column`: its dictionary size, its value range when
+/// `scan_values`, otherwise unbounded.
+size_t DistinctValuesBound(const Column& column, bool scan_values) {
+  switch (column.type()) {
+    case DataType::kString:
+      return static_cast<const StringColumn&>(column).dictionary().size();
+    case DataType::kInt32:
+      if (scan_values) {
+        return ValueRange(static_cast<const Int32Column&>(column).values());
+      }
+      break;
+    case DataType::kInt64:
+      if (scan_values) {
+        return ValueRange(static_cast<const Int64Column&>(column).values());
+      }
+      break;
+    case DataType::kDouble:
+      break;
+  }
+  return std::numeric_limits<size_t>::max();
+}
+
+template <typename T>
+size_t MaxMultiplicity(const std::vector<T>& keys) {
+  GroupTable groups;
+  std::vector<uint32_t> counts;
+  uint32_t most = 0;
+  for (const T key : keys) {
+    const uint32_t gid = groups.FindOrAdd(static_cast<uint64_t>(key));
+    if (gid == counts.size()) counts.push_back(0);
+    most = std::max(most, ++counts[gid]);
+  }
+  return most;
+}
+
+}  // namespace
+
+size_t MaxKeyMultiplicity(const Column& keys) {
+  switch (keys.type()) {
+    case DataType::kInt32:
+      return MaxMultiplicity(static_cast<const Int32Column&>(keys).values());
+    case DataType::kInt64:
+      return MaxMultiplicity(static_cast<const Int64Column&>(keys).values());
+    default:
+      return keys.num_rows();
+  }
+}
+
+size_t AggregateResultBytesBound(const std::vector<GroupKeySource>& sources,
+                                 size_t num_aggregates) {
+  size_t groups = 1;
+  for (const GroupKeySource& source : sources) {
+    if (source.columns.empty()) continue;
+    size_t combinations = 1;
+    for (const Column* column : source.columns) {
+      combinations = SaturatingMul(
+          combinations, DistinctValuesBound(*column, source.scan_values));
+    }
+    groups = SaturatingMul(groups, std::min(source.rows, combinations));
+  }
+  // Every aggregate column is int64 or double (AppendAggregateColumns).
+  size_t bytes = SaturatingMul(groups, num_aggregates * sizeof(int64_t));
+  for (const GroupKeySource& source : sources) {
+    for (const Column* column : source.columns) {
+      bytes = SaturatingAdd(bytes, GatheredBytes(*column, groups));
+    }
+  }
+  return bytes;
+}
+
 }  // namespace kernel_internal
 
 namespace {

@@ -428,6 +428,52 @@ Status AppendAggregateColumns(const std::vector<AggregateSpec>& aggregates,
                               const std::vector<std::vector<Acc>>& accs,
                               size_t num_groups, Table* output);
 
+// ---------------------------------------------------------------------------
+// Result-size bounds
+// ---------------------------------------------------------------------------
+
+/// Size arithmetic for bounds: a result past SIZE_MAX reads as SIZE_MAX,
+/// which no device heap can hold.
+inline size_t SaturatingAdd(size_t a, size_t b) {
+  return a > std::numeric_limits<size_t>::max() - b
+             ? std::numeric_limits<size_t>::max()
+             : a + b;
+}
+inline size_t SaturatingMul(size_t a, size_t b) {
+  if (a == 0 || b == 0) return 0;
+  return a > std::numeric_limits<size_t>::max() / b
+             ? std::numeric_limits<size_t>::max()
+             : a * b;
+}
+
+/// Bytes GatherColumn makes of `rows` rows of `source`: the fixed-width
+/// values, plus a string column's whole dictionary, which a gather copies.
+size_t GatheredBytes(const Column& source, size_t rows);
+
+/// The most rows of `keys` that share one value: the most build rows one
+/// probe row can match. One pass over the column; a non-integer column
+/// reads as its row count.
+size_t MaxKeyMultiplicity(const Column& keys);
+
+/// The group-by columns an aggregate reads from one of its input tables.
+struct GroupKeySource {
+  size_t rows = 0;  ///< rows of that table
+  /// Whether the bound may pass over the table's integer columns for their
+  /// value ranges. Never set for a streamed probe side.
+  bool scan_values = false;
+  std::vector<const Column*> columns;
+};
+
+/// Upper bound on the bytes of an aggregate's result with `num_aggregates`
+/// aggregate columns (8 bytes each) over the group-by columns of `sources`.
+/// A group key is one value combination per source, so the groups are at
+/// most the product over sources of min(rows, product of its columns'
+/// distinct-value bounds). A column's bound is its dictionary size
+/// (string), its value range (integer, when `scan_values`), or unbounded.
+/// No group-by column means one group.
+size_t AggregateResultBytesBound(const std::vector<GroupKeySource>& sources,
+                                 size_t num_aggregates);
+
 }  // namespace kernel_internal
 }  // namespace hetdb
 

@@ -1,10 +1,20 @@
 #include "operators/plan_node.h"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
+#include "operators/kernels_internal.h"
 
 namespace hetdb {
+
+using kernel_internal::AggregateResultBytesBound;
+using kernel_internal::GatheredBytes;
+using kernel_internal::GroupKeySource;
+using kernel_internal::MaxKeyMultiplicity;
+using kernel_internal::SaturatingAdd;
+using kernel_internal::SaturatingMul;
 
 const char* PlanOpToString(PlanOp op) {
   switch (op) {
@@ -82,6 +92,14 @@ size_t ScanNode::IntermediateDeviceBytes(
   return 0;
 }
 
+size_t ScanNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  // The result aliases the base columns: a cached column is a cache lease,
+  // an uncached one a transient input buffer (phase 1), never a result.
+  (void)inputs;
+  return 0;
+}
+
 std::string ScanNode::label() const {
   std::ostringstream os;
   os << "scan(" << table_->name() << ": " << columns_.size() << " cols)";
@@ -107,6 +125,12 @@ size_t SelectNode::IntermediateDeviceBytes(
   // Flag array + prefix sums: 1.25x the input (He et al. selection model;
   // with the input buffer and worst-case output this peaks at 3.25x).
   return InputBytes(inputs) + InputBytes(inputs) / 4;
+}
+
+size_t SelectNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  // A gather of at most every input row.
+  return InputBytes(inputs);
 }
 
 std::string SelectNode::label() const {
@@ -137,6 +161,32 @@ size_t JoinNode::IntermediateDeviceBytes(
   return 2 * inputs[0]->data_bytes();
 }
 
+size_t JoinNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  HETDB_CHECK(inputs.size() == 2 && inputs[0] != nullptr &&
+              inputs[1] != nullptr);
+  const Table& build = *inputs[0];
+  const Table& probe = *inputs[1];
+  Result<ColumnPtr> key = build.GetColumn(build_key_);
+  if (!key.ok()) return std::numeric_limits<size_t>::max();
+  // Each probe row matches at most the most build rows sharing one key.
+  const size_t matches =
+      SaturatingMul(probe.num_rows(), MaxKeyMultiplicity(*key.value()));
+  size_t bytes = 0;
+  auto add_gathered = [&](const Table& side,
+                          const std::vector<std::string>& columns) {
+    for (const std::string& name : columns) {
+      Result<ColumnPtr> column = side.GetColumn(name);
+      if (column.ok()) {
+        bytes = SaturatingAdd(bytes, GatheredBytes(*column.value(), matches));
+      }
+    }
+  };
+  add_gathered(build, output_spec_.build_columns);
+  add_gathered(probe, output_spec_.probe_columns);
+  return bytes;
+}
+
 std::string JoinNode::label() const {
   return "join(" + build_key_ + " = " + probe_key_ + ")";
 }
@@ -160,6 +210,20 @@ size_t AggregateNode::IntermediateDeviceBytes(
     const std::vector<TablePtr>& inputs) const {
   // Group hash table; bounded by half the input.
   return InputBytes(inputs) / 2;
+}
+
+size_t AggregateNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  HETDB_CHECK(inputs.size() == 1 && inputs[0] != nullptr);
+  GroupKeySource source;
+  source.rows = inputs[0]->num_rows();
+  source.scan_values = true;  // the aggregate's own input, not a probe side
+  for (const std::string& name : group_by_) {
+    Result<ColumnPtr> column = inputs[0]->GetColumn(name);
+    if (!column.ok()) return std::numeric_limits<size_t>::max();
+    source.columns.push_back(column.value().get());
+  }
+  return AggregateResultBytesBound({source}, aggregates_.size());
 }
 
 std::string AggregateNode::label() const {
@@ -198,6 +262,12 @@ size_t SortNode::IntermediateDeviceBytes(
   return InputBytes(inputs);
 }
 
+size_t SortNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  // A gather of every input row in sorted order.
+  return InputBytes(inputs);
+}
+
 std::string SortNode::label() const {
   std::ostringstream os;
   os << "sort(";
@@ -224,6 +294,20 @@ Result<TablePtr> ProjectNode::ComputeResult(
   return Project(*inputs[0], keep_columns_, expressions_, "project");
 }
 
+size_t ProjectNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  HETDB_CHECK(inputs.size() == 1 && inputs[0] != nullptr);
+  // Kept columns alias the input's; each expression is an int64 or double
+  // column of every input row.
+  size_t bytes = SaturatingMul(inputs[0]->num_rows(),
+                               expressions_.size() * sizeof(int64_t));
+  for (const std::string& name : keep_columns_) {
+    Result<ColumnPtr> column = inputs[0]->GetColumn(name);
+    if (column.ok()) bytes = SaturatingAdd(bytes, column.value()->data_bytes());
+  }
+  return bytes;
+}
+
 std::string ProjectNode::label() const {
   std::ostringstream os;
   os << "project(" << keep_columns_.size() << " cols";
@@ -241,6 +325,17 @@ Result<TablePtr> LimitNode::ComputeResult(
     const std::vector<TablePtr>& inputs) const {
   HETDB_CHECK(inputs.size() == 1 && inputs[0] != nullptr);
   return Limit(*inputs[0], limit_, "limit");
+}
+
+size_t LimitNode::ResultDeviceBytesBound(
+    const std::vector<TablePtr>& inputs) const {
+  HETDB_CHECK(inputs.size() == 1 && inputs[0] != nullptr);
+  const size_t rows = std::min(limit_, inputs[0]->num_rows());
+  size_t bytes = 0;
+  for (const ColumnPtr& column : inputs[0]->columns()) {
+    bytes = SaturatingAdd(bytes, GatheredBytes(*column, rows));
+  }
+  return bytes;
 }
 
 std::string LimitNode::label() const {

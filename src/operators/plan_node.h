@@ -71,6 +71,14 @@ class PlanNode {
   virtual size_t IntermediateDeviceBytes(
       const std::vector<TablePtr>& inputs) const;
 
+  /// Upper bound on that result buffer's bytes, given the inputs. Placement
+  /// calls it before the operator runs (DeviceFootprint in
+  /// placement/runtime.h), so it passes over no probe-side column data; a
+  /// pass over a build-side input is fine, since the build makes the same
+  /// pass. SIZE_MAX means no bound.
+  virtual size_t ResultDeviceBytesBound(
+      const std::vector<TablePtr>& inputs) const = 0;
+
   /// Short human-readable description, e.g. "select(lo_discount > 10)".
   virtual std::string label() const;
 
@@ -93,6 +101,8 @@ class ScanNode : public PlanNode {
       const std::vector<TablePtr>& inputs) const override;
   size_t InputBytes(const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
+      const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
       const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 
@@ -122,6 +132,8 @@ class SelectNode : public PlanNode {
       const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
       const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
+      const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 
   const ConjunctiveFilter& filter() const { return filter_; }
@@ -140,6 +152,8 @@ class JoinNode : public PlanNode {
   Result<TablePtr> ComputeResult(
       const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
+      const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
       const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 
@@ -164,6 +178,8 @@ class AggregateNode : public PlanNode {
       const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
       const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
+      const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 
   const std::vector<std::string>& group_by() const { return group_by_; }
@@ -184,6 +200,8 @@ class SortNode : public PlanNode {
       const std::vector<TablePtr>& inputs) const override;
   size_t IntermediateDeviceBytes(
       const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
+      const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 
   const std::vector<SortKey>& keys() const { return keys_; }
@@ -200,6 +218,8 @@ class ProjectNode : public PlanNode {
 
   OpClass op_class() const override { return OpClass::kProject; }
   Result<TablePtr> ComputeResult(
+      const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
       const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 
@@ -220,6 +240,8 @@ class LimitNode : public PlanNode {
 
   OpClass op_class() const override { return OpClass::kMaterialize; }
   Result<TablePtr> ComputeResult(
+      const std::vector<TablePtr>& inputs) const override;
+  size_t ResultDeviceBytesBound(
       const std::vector<TablePtr>& inputs) const override;
   std::string label() const override;
 

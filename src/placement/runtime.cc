@@ -1,47 +1,51 @@
 #include "placement/runtime.h"
 
+#include <limits>
+
 namespace hetdb {
 
 namespace {
 
-/// Conservative device-heap footprint estimate: bytes that must be newly
-/// allocated (missing inputs), intermediates, and a worst-case result the
-/// size of the input.
-size_t EstimateDeviceFootprint(const PlanNode& node,
-                               const std::vector<OperatorResult*>& inputs,
-                               size_t missing_input_bytes) {
-  std::vector<TablePtr> input_tables;
-  input_tables.reserve(inputs.size());
-  size_t input_bytes = 0;
-  for (OperatorResult* input : inputs) {
-    input_tables.push_back(input->table);
-    input_bytes += input->table_bytes();
-  }
-  if (node.op() == PlanOp::kScan) input_bytes = node.InputBytes({});
-  return missing_input_bytes + node.IntermediateDeviceBytes(input_tables) +
-         input_bytes;
+std::vector<TablePtr> InputTables(const std::vector<OperatorResult*>& inputs) {
+  std::vector<TablePtr> tables;
+  tables.reserve(inputs.size());
+  for (const OperatorResult* input : inputs) tables.push_back(input->table);
+  return tables;
 }
 
-/// Bytes of input not yet device-resident.
+/// Phase 1 of a device attempt: the input bytes it must bring to the device.
 size_t MissingInputBytes(const PlanNode& node,
                          const std::vector<OperatorResult*>& inputs,
                          EngineContext& ctx) {
+  size_t missing = 0;
   if (node.op() == PlanOp::kScan) {
     const auto& scan = static_cast<const ScanNode&>(node);
-    size_t missing = 0;
     for (const auto& [key, column] : scan.base_columns()) {
-      if (!ctx.IsCachedOnAnyDevice(key)) missing += column->data_bytes();
+      if (!ctx.IsCachedOnAnyDevice(key)) {
+        missing += ctx.cache().EntryBytes(*column);
+      }
     }
     return missing;
   }
-  size_t missing = 0;
-  for (OperatorResult* input : inputs) {
+  for (const OperatorResult* input : inputs) {
     if (input->location != ProcessorKind::kGpu) missing += input->table_bytes();
   }
   return missing;
 }
 
 }  // namespace
+
+size_t DeviceFootprint(const PlanNode& node,
+                       const std::vector<OperatorResult*>& inputs,
+                       EngineContext& ctx) {
+  const std::vector<TablePtr> tables = InputTables(inputs);
+  const size_t before_result = MissingInputBytes(node, inputs, ctx) +
+                               node.IntermediateDeviceBytes(tables);
+  const size_t result = node.ResultDeviceBytesBound(tables);
+  return result > std::numeric_limits<size_t>::max() - before_result
+             ? std::numeric_limits<size_t>::max()
+             : before_result + result;
+}
 
 RuntimePlacer MakeHypePlacer() {
   return [](const PlanNode& node, const std::vector<OperatorResult*>& inputs,
@@ -52,24 +56,21 @@ RuntimePlacer MakeHypePlacer() {
       // CPU outright.
       return ProcessorKind::kCpu;
     }
-    const size_t missing = MissingInputBytes(node, inputs, ctx);
-    if (EstimateDeviceFootprint(node, inputs, missing) >
+    if (DeviceFootprint(node, inputs, ctx) >
         ctx.simulator().device_heap().capacity()) {
       return ProcessorKind::kCpu;  // cannot possibly fit: don't even try
     }
-    size_t input_bytes = 0;
+    // Base data always has a host copy; only device-produced intermediates
+    // would need a copy-back under CPU placement.
     size_t device_resident = 0;
-    for (OperatorResult* input : inputs) {
-      input_bytes += input->table_bytes();
-      // Base data always has a host copy; only device-produced intermediates
-      // would need a copy-back under CPU placement.
+    for (const OperatorResult* input : inputs) {
       if (input->location == ProcessorKind::kGpu && !input->base_data) {
         device_resident += input->table_bytes();
       }
     }
-    if (node.op() == PlanOp::kScan) input_bytes = node.InputBytes({});
-    return ctx.scheduler().ChooseProcessor(node.op_class(), input_bytes,
-                                           missing, device_resident);
+    return ctx.scheduler().ChooseProcessor(
+        node.op_class(), node.InputBytes(InputTables(inputs)),
+        MissingInputBytes(node, inputs, ctx), device_resident);
   };
 }
 
@@ -77,9 +78,8 @@ RuntimePlacer MakeDataDrivenPlacer() {
   return [](const PlanNode& node, const std::vector<OperatorResult*>& inputs,
             EngineContext& ctx) -> ProcessorKind {
     if (!ctx.AnyDeviceAvailable()) return ProcessorKind::kCpu;
-    const size_t missing = MissingInputBytes(node, inputs, ctx);
-    if (missing > 0) return ProcessorKind::kCpu;
-    if (EstimateDeviceFootprint(node, inputs, 0) >
+    if (MissingInputBytes(node, inputs, ctx) > 0) return ProcessorKind::kCpu;
+    if (DeviceFootprint(node, inputs, ctx) >
         ctx.simulator().device_heap().capacity()) {
       return ProcessorKind::kCpu;
     }

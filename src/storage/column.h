@@ -155,6 +155,8 @@ class StringColumn : public Column {
   const std::vector<int32_t>& codes() const { return codes_; }
   std::vector<int32_t>& mutable_codes() { return codes_; }
   const std::vector<std::string>& dictionary() const { return dictionary_; }
+  /// Bytes of the dictionary's strings (part of data_bytes()).
+  size_t dictionary_bytes() const { return dictionary_bytes_; }
 
   bool order_preserving() const { return order_preserving_; }
 

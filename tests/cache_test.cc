@@ -252,6 +252,29 @@ TEST_F(DataCacheTest, ClearDropsEverything) {
   EXPECT_EQ(cache.used_bytes(), 0u);
 }
 
+/// A miss on a key whose entry is still leased but pending eviction (a
+/// Clear, as when a device is lost) must not replace that entry: the bytes
+/// would be counted twice and the old lease would release the new entry.
+TEST_F(DataCacheTest, MissOnKeyPendingEvictionLoadsTransiently) {
+  DataCache cache(800, EvictionPolicy::kLru, simulator_.get());
+  ColumnPtr a = MakeColumn("a", 100);
+  auto held = cache.RequireOnDevice(a, "t.a");
+  ASSERT_TRUE(held.resident);
+  cache.Clear();
+  EXPECT_EQ(cache.used_bytes(), 400u);  // still leased
+  {
+    auto again = cache.RequireOnDevice(a, "t.a");
+    ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+    EXPECT_FALSE(again.resident);
+    EXPECT_EQ(simulator_->device_heap().used(), 400u);
+  }
+  EXPECT_EQ(simulator_->device_heap().used(), 0u);
+  EXPECT_EQ(cache.used_bytes(), 400u);
+  held.lease.Release();
+  EXPECT_EQ(cache.used_bytes(), 0u);
+  EXPECT_FALSE(cache.IsCached("t.a"));
+}
+
 TEST_F(DataCacheTest, TryGetOnlyHitsExistingEntries) {
   DataCache cache(800, EvictionPolicy::kLru, simulator_.get());
   EXPECT_FALSE(cache.TryGet("t.a").has_value());

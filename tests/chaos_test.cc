@@ -25,6 +25,7 @@
 #include "fault/circuit_breaker.h"
 #include "fault/fault_injector.h"
 #include "fault/watchdog.h"
+#include "placement/compile_time.h"
 #include "placement/runtime.h"
 #include "placement/strategy_runner.h"
 #include "ssb/ssb_generator.h"
@@ -513,21 +514,38 @@ INSTANTIATE_TEST_SUITE_P(PooledAndInline, WatchdogKillTest,
 class CompileTimeDeadlineTest : public ::testing::TestWithParam<Strategy> {};
 
 TEST_P(CompileTimeDeadlineTest, DeadlinePassingMidQueryCancels) {
-  // Modeled time x20 keeps Q3.1 running for tens of milliseconds, so a 5 ms
-  // budget expires after its first operators and before its last.
-  SystemConfig config = TestConfig();
-  config.simulate_time = true;
-  config.time_scale = 20.0;
-  EngineContext ctx(config, ChaosDb());
+  EngineContext ctx(TestConfig(), ChaosDb());
   StrategyRunner runner(&ctx, GetParam());
-  const PlanNodePtr plan = ChaosPlan("Q3.1");
+  const PlanNodePtr plan = runner.Optimize(ChaosPlan("Q3.1"));
+  RuntimePlacer replay = MakeReplayPlacer(GetParam() == Strategy::kGpuOnly
+                                              ? PlaceGpuOnly(plan)
+                                              : PlaceCpuOnly(plan));
+  // The deadline passes at a known operator boundary: the placement step of
+  // the first leaf holds it until the deadline is behind it. That leaf has
+  // passed its deadline check, so it runs; its parent's check fails. The
+  // budget only has to cover the query's set-up.
+  const PlanNode* held = nullptr;
+  VisitPlanPostOrder(plan, [&held](const PlanNodePtr& node) {
+    if (held == nullptr) held = node.get();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+  RuntimePlacer placer = [&](const PlanNode& node,
+                             const std::vector<OperatorResult*>& inputs,
+                             EngineContext& placer_ctx) {
+    if (&node == held) {
+      std::this_thread::sleep_until(deadline + std::chrono::milliseconds(1));
+    }
+    return replay(node, inputs, placer_ctx);
+  };
   QueryControls controls;
   controls.cancel = CancelToken::Create();  // a live token: watched
   controls.stats = std::make_shared<QueryStats>();
+  controls.deadline = deadline;
   const QueryStatsPtr stats = controls.stats;
-  controls.deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-  Result<TablePtr> result = runner.RunQuery(plan, std::move(controls));
+  ChoppingExecutor executor(&ctx);
+  Result<TablePtr> result =
+      executor.ExecuteInline(plan, placer, std::move(controls));
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
   EXPECT_GT(stats->operators_run(), 0);

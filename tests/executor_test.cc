@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <thread>
 
 #include "engine/chopping_executor.h"
 #include "placement/compile_time.h"
@@ -278,13 +282,17 @@ TEST_F(ExecutorTest, ChoppingExecutorMatchesCompileTime) {
   EXPECT_TRUE(TablesEqual(*expected.value(), *result.value()));
 }
 
-/// Live threads of this process: one /proc/self/task entry each.
-size_t ProcessThreads() {
+/// Live pool workers of every ChoppingExecutor in this process: the
+/// /proc/self/task entries named "hetdb-cpu" or "hetdb-gpu<d>". Threads the
+/// executor did not start (a sanitizer's, the engine's services) do not
+/// count.
+size_t ExecutorThreads() {
   size_t threads = 0;
   for (const auto& entry :
        std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++threads;
+    std::ifstream comm(entry.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name) && name.starts_with("hetdb-")) ++threads;
   }
   return threads;
 }
@@ -295,17 +303,24 @@ TEST_F(ExecutorTest, CompileTimeRunnersStartNoThread) {
   if (!std::filesystem::exists("/proc/self/task")) {
     GTEST_SKIP() << "needs /proc/self/task to count threads";
   }
-  const size_t before = ProcessThreads();
+  // Earlier tests joined their workers, but a joined thread can stay listed
+  // for a moment while it exits.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ExecutorThreads() > 0 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(ExecutorThreads(), 0u);
   for (Strategy strategy : {Strategy::kCpuOnly, Strategy::kGpuOnly,
                             Strategy::kCriticalPath, Strategy::kDataDriven}) {
     StrategyRunner runner(ctx_.get(), strategy);
-    EXPECT_EQ(ProcessThreads(), before) << StrategyToString(strategy);
+    EXPECT_EQ(ExecutorThreads(), 0u) << StrategyToString(strategy);
   }
   StrategyRunner chopping(ctx_.get(), Strategy::kChopping);
-  EXPECT_EQ(ProcessThreads(),
-            before + static_cast<size_t>(ctx_->config().cpu_workers +
-                                         ctx_->config().gpu_workers *
-                                             ctx_->device_count()));
+  EXPECT_EQ(ExecutorThreads(),
+            static_cast<size_t>(ctx_->config().cpu_workers +
+                                ctx_->config().gpu_workers *
+                                    ctx_->device_count()));
 }
 
 TEST_F(ExecutorTest, ChoppingHandlesManyConcurrentQueries) {

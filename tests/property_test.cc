@@ -4,12 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <mutex>
+#include <tuple>
 
 #include "common/rng.h"
+#include "engine/pipeline_builder.h"
 #include "operators/kernels.h"
+#include "placement/runtime.h"
 #include "placement/strategy_runner.h"
+#include "ssb/ssb_generator.h"
+#include "ssb/ssb_queries.h"
 #include "tests/test_util.h"
+#include "tpch/tpch_generator.h"
+#include "tpch/tpch_queries.h"
 
 namespace hetdb {
 namespace {
@@ -352,6 +361,85 @@ TEST_P(SeededTest, RandomPlansMatchCpuReferenceOnAnyDeviceCount) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+/// DeviceFootprint is an upper bound on what a device attempt allocates.
+/// Every SSB and TPC-H query runs with every operator placed on the device,
+/// on a heap large enough that nothing aborts, and each node's footprint at
+/// placement must cover the heap bytes its attempt allocated. Parameters:
+/// fusion on/off, and a device cache that holds every column (each query
+/// runs twice: its scans miss, then hit) or none (every scan column is a
+/// transient heap buffer).
+class FootprintBoundTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(FootprintBoundTest, DeviceFootprintBoundsEveryDeviceAllocation) {
+  const auto [fusion, cache_columns] = GetParam();
+  static const DatabasePtr ssb = [] {
+    SsbGeneratorOptions options;
+    options.scale_factor = 0.1;
+    return GenerateSsbDatabase(options);
+  }();
+  static const DatabasePtr tpch = [] {
+    TpchGeneratorOptions options;
+    options.scale_factor = 0.05;
+    return GenerateTpchDatabase(options);
+  }();
+  SystemConfig config = TestConfig();
+  config.device_memory_bytes = size_t{1} << 30;
+  config.device_cache_bytes = cache_columns ? size_t{256} << 20 : 0;
+
+  for (const auto& [db, queries] : {std::make_pair(ssb, SsbQueries()),
+                                    std::make_pair(tpch, TpchQueries())}) {
+    EngineContext ctx(config, db);
+    ChoppingExecutor executor(&ctx);
+    for (const NamedQuery& query : queries) {
+      Result<PlanNodePtr> built = query.builder(*db);
+      ASSERT_TRUE(built.ok()) << query.name;
+      const PlanNodePtr plan =
+          fusion ? FusePipelines(built.value()) : built.value();
+      for (int run = 0; run < 2; ++run) {
+        std::mutex mutex;
+        std::map<const PlanNode*, size_t> footprints;
+        RuntimePlacer placer = [&](const PlanNode& node,
+                                   const std::vector<OperatorResult*>& inputs,
+                                   EngineContext& placer_ctx) {
+          const size_t bound = DeviceFootprint(node, inputs, placer_ctx);
+          std::lock_guard<std::mutex> lock(mutex);
+          footprints[&node] = bound;
+          return ProcessorKind::kGpu;
+        };
+        QueryControls controls;
+        controls.stats = MakeQueryStats(plan);
+        const QueryStatsPtr stats = controls.stats;
+        Result<TablePtr> result =
+            executor.ExecuteInline(plan, placer, std::move(controls));
+        ASSERT_TRUE(result.ok()) << query.name << ": "
+                                 << result.status().ToString();
+        VisitPlanPostOrder(plan, [&](const PlanNodePtr& node) {
+          const NodeStats* node_stats = stats->Find(node.get());
+          ASSERT_NE(node_stats, nullptr);
+          EXPECT_EQ(node_stats->ran_on.load(), 1) << query.name;
+          ASSERT_EQ(footprints.count(node.get()), 1u);
+          const size_t bound = footprints[node.get()];
+          EXPECT_LT(bound, std::numeric_limits<size_t>::max())
+              << query.name << " " << node->label();
+          EXPECT_GE(bound, static_cast<size_t>(
+                               node_stats->device_alloc_bytes.load()))
+              << query.name << " run " << run << " " << node->label();
+        });
+      }
+    }
+    EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FusionAndCache, FootprintBoundTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "Fused" : "Unfused") +
+             (std::get<1>(info.param) ? "Cached" : "Uncached");
+    });
 
 }  // namespace
 }  // namespace hetdb
