@@ -276,10 +276,12 @@ struct BenchArgs {
 /// The paper's machine of the evaluation (Section 6.1), at the
 /// 1/100 data scale of DESIGN.md: the 4 GB GTX 770 becomes a 40 MB device
 /// (24 MB data cache + 16 MB heap), PCIe and kernel throughputs use the
-/// calibration constants of common/config.h. `args` gives --time-scale and
-/// --fusion.
+/// calibration constants of common/config.h. It runs the paper's
+/// allocate-as-you-go and abort-and-restart (`paper_mode`). `args` gives
+/// --time-scale and --fusion.
 inline SystemConfig PaperConfig(const BenchArgs& args) {
   SystemConfig config;
+  config.paper_mode = true;
   config.device_memory_bytes = 40ull << 20;
   config.device_cache_bytes = 24ull << 20;
   config.simulate_time = true;

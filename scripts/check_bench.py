@@ -69,6 +69,17 @@ largest ratio seen in repeated runs was 1.04.
 Usage:
   scripts/check_bench.py fig14.json --fig14
 
+With --fig13 the candidate is a fig13_aborts artifact and the gate checks
+that paper mode keeps the paper's Figure 13 heap-contention aborts: at the
+largest user count GPU Only must abort at least 5 times, and Chopping and
+Data-Driven Chopping must each abort fewer times than GPU Only. The floor
+tells paper mode from the default engine: at CI's `--quick --fusion off
+--time-scale 0.2`, GPU Only aborted 8-9 times at 16 users in 14 paper-mode
+runs, and 2-3 times with paper mode off (its result buffers still abort).
+
+Usage:
+  scripts/check_bench.py fig13.json --fig13
+
 Exit code 0 = within tolerance, 1 = regression, 2 = malformed input.
 """
 
@@ -82,6 +93,8 @@ PARALLEL_DOP = 8
 FUSION_DOP = 8
 FIG17_MIN_GPU_SLOWDOWN = 1.2
 FIG14_MAX_DDC_OVER_CPU = 1.2
+FIG13_MIN_GPU_ONLY_ABORTS = 5
+FIG13_CHOPPING = ["Chopping", "Data-Driven Chopping"]
 
 
 def load_medians(path):
@@ -393,6 +406,52 @@ def check_fig14(path):
     return 0
 
 
+def check_fig13(path):
+    """Gate on a fig13_aborts artifact: paper mode still aborts."""
+    tables = load_figure(path, "fig13_aborts")
+    if tables is None:
+        return 2
+    points = tables[0] if tables else []
+    if not points:
+        print(f"error: {path} holds no user counts", file=sys.stderr)
+        return 2
+    try:
+        point = max(points, key=lambda entry: entry["users"])
+    except (KeyError, TypeError):
+        print(f"error: {path} has a row without a user count", file=sys.stderr)
+        return 2
+
+    failures = []
+    users = point["users"]
+    gpu_only = point.get("GPU Only_aborts", -1)
+    print(f"{'strategy':<22}{'aborts':>8}  (at {users} users)")
+    print(f"{'GPU Only':<22}{gpu_only:>8}")
+    if gpu_only < FIG13_MIN_GPU_ONLY_ABORTS:
+        failures.append(
+            f"{users} users: GPU Only aborted {gpu_only} times (floor "
+            f"{FIG13_MIN_GPU_ONLY_ABORTS}) — paper mode no longer shows "
+            f"Figure 13's heap-contention aborts")
+    for strategy in FIG13_CHOPPING:
+        aborts = point.get(f"{strategy}_aborts")
+        if aborts is None:
+            failures.append(f"{users} users: no {strategy} abort count")
+            continue
+        print(f"{strategy:<22}{aborts:>8}")
+        if aborts >= gpu_only:
+            failures.append(
+                f"{users} users: {strategy} aborted {aborts} times, not "
+                f"fewer than GPU Only's {gpu_only}")
+
+    if failures:
+        print("\nREGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    print(f"\nOK: GPU Only aborts >= {FIG13_MIN_GPU_ONLY_ABORTS} times at "
+          f"{users} users and each chopping strategy aborts fewer times")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("candidate", help="fresh benchmark JSON to check")
@@ -415,6 +474,9 @@ def main():
     parser.add_argument("--fig14", action="store_true",
                         help="treat candidate as a paper_figures "
                              "fig14_scale_ssb artifact")
+    parser.add_argument("--fig13", action="store_true",
+                        help="treat candidate as a paper_figures "
+                             "fig13_aborts artifact")
     parser.add_argument("--goodput-floor", type=float, default=0.1,
                         help="device-loss goodput floor as a fraction of "
                              "baseline goodput for --availability "
@@ -446,6 +508,8 @@ def main():
         return check_fig17(args.candidate)
     if args.fig14:
         return check_fig14(args.candidate)
+    if args.fig13:
+        return check_fig13(args.candidate)
 
     baseline = load_medians(args.baseline)
     candidate = load_medians(args.candidate)

@@ -82,8 +82,36 @@ std::optional<DataCache::Lease> DataCache::TryGet(const std::string& key) {
   return Lease(this, key);
 }
 
+size_t DataCache::TransientBytes(
+    const std::vector<std::pair<std::string, ColumnPtr>>& columns) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Room a miss can be admitted into: free bytes plus what demand eviction
+  // may drop, except the columns this scan will hit (and lease).
+  size_t room = capacity_bytes_ - std::min(used_bytes_, capacity_bytes_);
+  for (const auto& [key, entry] : entries_) {
+    if (!Droppable(entry)) continue;
+    const bool hit = std::any_of(columns.begin(), columns.end(),
+                                 [&](const auto& kv) { return kv.first == key; });
+    if (!hit) room += entry.bytes;
+  }
+  const bool admission_open = AdmissionOpen();
+  size_t transient = 0;
+  for (const auto& [key, column] : columns) {
+    auto it = entries_.find(key);
+    if (it != entries_.end() && !it->second.pending_evict) continue;  // hit
+    const size_t bytes = EntryBytes(*column);
+    if (it == entries_.end() && admission_open && bytes <= room) {
+      room -= bytes;  // admitted
+    } else {
+      transient += bytes;
+    }
+  }
+  return transient;
+}
+
 DataCache::Access DataCache::RequireOnDevice(const ColumnPtr& column,
-                                             const std::string& key) {
+                                             const std::string& key,
+                                             DeviceAllocation* reservation) {
   const size_t bytes = EntryBytes(*column);
   // Loop: a waiter whose concurrent loader faulted (entry vanished) retries
   // the access as a fresh miss instead of dangling on the erased entry.
@@ -119,8 +147,7 @@ DataCache::Access DataCache::RequireOnDevice(const ColumnPtr& column,
       ++stats_.misses;
       // An entry pending eviction still holds the key (and its leases and
       // bytes) until its last lease drops: load around it, transiently.
-      const bool admit = it == entries_.end() &&
-                         (!admission_gate_ || admission_gate_());
+      const bool admit = it == entries_.end() && AdmissionOpen();
       if (admit && bytes <= capacity_bytes_ && EvictUntilFits(bytes)) {
         // Reserve the entry in "loading" state, transfer outside the lock.
         Entry entry;
@@ -149,7 +176,7 @@ DataCache::Access DataCache::RequireOnDevice(const ColumnPtr& column,
         access.resident = false;
         Result<DeviceAllocation> buffer =
             simulator_->device_heap(device_id_).Allocate(
-                bytes, "transient input " + key);
+                bytes, "transient input " + key, reservation);
         if (!buffer.ok()) {
           access.status = buffer.status();
           return access;
@@ -228,10 +255,7 @@ DataCache::PickVictim() {
   auto best = entries_.end();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     const Entry& entry = it->second;
-    if (!entry.ready || entry.pinned || entry.ref_count > 0 ||
-        entry.pending_evict) {
-      continue;
-    }
+    if (!Droppable(entry)) continue;
     if (best == entries_.end()) {
       best = it;
       continue;

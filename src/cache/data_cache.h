@@ -122,10 +122,20 @@ class DataCache {
   /// entry, it is *transient* (`resident == false`) — the cache-thrashing
   /// path: a buffer is allocated from this device's heap *before* the
   /// transfer and handed back in `heap_buffer`, which the caller holds for
-  /// the operator's lifetime. When the heap has no room the access fails
-  /// with ResourceExhausted before any byte crosses the bus; when the
-  /// transfer faults the buffer is released again.
-  Access RequireOnDevice(const ColumnPtr& column, const std::string& key);
+  /// the operator's lifetime. The buffer is split off `reservation` when it
+  /// holds the bytes (DeviceAllocator::Allocate). When the heap has no room
+  /// the access fails with ResourceExhausted before any byte crosses the
+  /// bus; when the transfer faults the buffer is released again.
+  Access RequireOnDevice(const ColumnPtr& column, const std::string& key,
+                         DeviceAllocation* reservation = nullptr);
+
+  /// Bytes that RequireOnDevice calls for `columns`, made now and in this
+  /// order, would load into transient heap buffers: the columns that are
+  /// neither cached nor admitted under the cache's admission rule. A column
+  /// the cache would admit costs nothing. Concurrent accesses can change
+  /// the answer before the calls are made.
+  size_t TransientBytes(
+      const std::vector<std::pair<std::string, ColumnPtr>>& columns) const;
 
   /// The paper's Algorithm 1: given all candidate columns, selects the most
   /// frequently accessed prefix that fits the budget, evicts cached columns
@@ -192,6 +202,14 @@ class DataCache {
   /// wakes waiters (who re-find the key and treat the vanished entry as a
   /// miss). Takes mutex_.
   void AbandonLoad(const std::string& key);
+  /// Whether a miss on a key with no entry may be demand-inserted now (the
+  /// brownout gate). Caller holds mutex_.
+  bool AdmissionOpen() const { return !admission_gate_ || admission_gate_(); }
+  /// An entry demand eviction may drop: ready, unpinned, unleased.
+  static bool Droppable(const Entry& entry) {
+    return entry.ready && !entry.pinned && entry.ref_count == 0 &&
+           !entry.pending_evict;
+  }
   /// Evicts unleased, unpinned, ready entries per policy until `bytes` fit.
   /// Returns true on success. Caller holds mutex_.
   bool EvictUntilFits(size_t bytes);

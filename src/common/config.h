@@ -126,6 +126,18 @@ struct SystemConfig {
   /// contend for the device heap (Figures 3, 12, 13).
   bool fusion = true;
 
+  // --- Execution model -----------------------------------------------------
+  /// The paper's heap handling (Section 2.5.1): a device operator allocates
+  /// its heap buffers phase by phase as it runs and aborts, to restart on
+  /// the CPU, when one does not fit. Figures 3, 13, 17 and 20 measure that
+  /// waste; `PaperConfig` (bench/bench_util.h) sets this for every figure
+  /// and serve_slo. Off, a device attempt first reserves every byte it
+  /// already knows it needs (inputs, transient columns, intermediates), and
+  /// an operator whose reservation the free heap cannot hold runs on the
+  /// CPU before it moves a byte (a heap decline, DESIGN.md §5). For want of
+  /// heap only the result buffer, sized after the kernel, can still abort.
+  bool paper_mode = false;
+
   size_t device_heap_bytes() const {
     return device_memory_bytes > device_cache_bytes
                ? device_memory_bytes - device_cache_bytes

@@ -118,7 +118,8 @@ Status CheckKernelLaunch(const PlanNode& node, size_t input_bytes,
 /// Device execution with staged allocation; see the header for the phases.
 Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
                                     const std::vector<OperatorResult*>& inputs,
-                                    EngineContext& ctx, int device) {
+                                    EngineContext& ctx, int device,
+                                    DeviceAllocation* reservation) {
   Stopwatch abort_watch;
   DeviceAllocator& heap = ctx.simulator().device_heap(device);
 
@@ -136,7 +137,7 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
     const auto& scan = static_cast<const ScanNode&>(node);
     for (const auto& [key, column] : scan.base_columns()) {
       DataCache::Access access =
-          ctx.cache(device).RequireOnDevice(column, key);
+          ctx.cache(device).RequireOnDevice(column, key, reservation);
       // A failed load is still a miss, as in the cache's own stats.
       if (QueryStats* stats = QueryStatsScope::current_stats()) {
         stats->OnCacheAccess(access.hit, QueryStatsScope::current_node());
@@ -173,8 +174,9 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
     if (!on_this_device) {
       // The bytes are not on this device yet: allocate a buffer here and
       // bring them in over the cheapest correct path.
-      Result<DeviceAllocation> allocation = heap.Allocate(
-          input->table_bytes(), "device input for " + node.label());
+      Result<DeviceAllocation> allocation =
+          heap.Allocate(input->table_bytes(),
+                        "device input for " + node.label(), reservation);
       if (!allocation.ok()) return abort_with(allocation.status());
       result.device_allocations.push_back(std::move(allocation).value());
       Status transfer;
@@ -198,8 +200,8 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
   const size_t intermediate_bytes = node.IntermediateDeviceBytes(input_tables);
   DeviceAllocation intermediates;
   if (intermediate_bytes > 0) {
-    Result<DeviceAllocation> allocation =
-        heap.Allocate(intermediate_bytes, "intermediates for " + node.label());
+    Result<DeviceAllocation> allocation = heap.Allocate(
+        intermediate_bytes, "intermediates for " + node.label(), reservation);
     if (!allocation.ok()) return abort_with(allocation.status());
     intermediates = std::move(allocation).value();
   }
@@ -238,16 +240,52 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
   return result;
 }
 
+/// Phases 1 and 2 of a device attempt of `node` on `device`: a scan's
+/// columns that device's cache will not hold, or another operator's inputs
+/// not yet on it plus its intermediates.
+size_t KnownDeviceBytes(const PlanNode& node,
+                        const std::vector<OperatorResult*>& inputs,
+                        EngineContext& ctx, int device) {
+  if (node.op() == PlanOp::kScan) {
+    return ctx.cache(device).TransientBytes(
+        static_cast<const ScanNode&>(node).base_columns());
+  }
+  size_t bytes = 0;
+  std::vector<TablePtr> input_tables;
+  input_tables.reserve(inputs.size());
+  for (const OperatorResult* input : inputs) {
+    if (input->location != ProcessorKind::kGpu || input->device != device) {
+      bytes += input->table_bytes();
+    }
+    input_tables.push_back(input->table);
+  }
+  return bytes + node.IntermediateDeviceBytes(input_tables);
+}
+
+/// Outside paper mode, takes the reservation a device attempt draws its
+/// phases from; false (a heap decline) when the free heap cannot hold it.
+/// In paper mode reserves nothing, so each phase allocates as it goes.
+bool ReserveKnownBytes(const PlanNode& node,
+                       const std::vector<OperatorResult*>& inputs,
+                       EngineContext& ctx, int device,
+                       DeviceAllocation* reservation) {
+  if (ctx.config().paper_mode) return true;
+  *reservation = ctx.simulator().device_heap(device).Reserve(
+      KnownDeviceBytes(node, inputs, ctx, device));
+  return reservation->valid();
+}
+
 }  // namespace
 
 Result<OperatorResult> ExecuteOperator(const PlanNode& node,
                                        const std::vector<OperatorResult*>& inputs,
                                        ProcessorKind processor,
-                                       EngineContext& ctx, int device) {
+                                       EngineContext& ctx, int device,
+                                       DeviceAllocation* reservation) {
   if (processor == ProcessorKind::kCpu) {
     return ExecuteOnCpu(node, inputs, ctx);
   }
-  return ExecuteOnGpu(node, inputs, ctx, device);
+  return ExecuteOnGpu(node, inputs, ctx, device, reservation);
 }
 
 Result<ExecutedOperator> ExecuteWithFallback(
@@ -262,7 +300,19 @@ Result<ExecutedOperator> ExecuteWithFallback(
   if (processor == ProcessorKind::kGpu) {
     DeviceCircuitBreaker& breaker = ctx.breaker(device);
     const SystemConfig& config = ctx.config();
-    if (!breaker.AllowDevice()) {
+    DeviceAllocation reservation;
+    if (!ReserveKnownBytes(node, inputs, ctx, device, &reservation)) {
+      // The heap cannot hold what the operator already knows it needs: run
+      // it on the CPU before it moves a byte. Not an abort and no breaker
+      // outcome. It does not wait for heap either: the operator may hold
+      // its inputs' device results, and waiting while holding is the
+      // deadlock of Section 2.5.1.
+      ctx.metrics().RecordHeapDecline(device);
+      if (node_stats != nullptr) {
+        node_stats->heap_declines.fetch_add(1, std::memory_order_relaxed);
+      }
+      processor = ProcessorKind::kCpu;
+    } else if (!breaker.AllowDevice()) {
       // Breaker open: the device is aborting most operators right now, so
       // don't even start one — go straight to the CPU without paying the
       // wasted start-to-abort time of Figure 20.
@@ -276,8 +326,10 @@ Result<ExecutedOperator> ExecuteWithFallback(
         if (node_stats != nullptr) {
           node_stats->attempts.fetch_add(1, std::memory_order_relaxed);
         }
-        Result<OperatorResult> device_try =
-            ExecuteOperator(node, inputs, ProcessorKind::kGpu, ctx, device);
+        Result<OperatorResult> device_try = ExecuteOperator(
+            node, inputs, ProcessorKind::kGpu, ctx, device, &reservation);
+        // The attempt ended: the bytes it did not draw go back to the heap.
+        reservation.Release();
         if (device_try.ok()) {
           breaker.RecordDeviceSuccess();
           ExecutedOperator executed;
@@ -296,8 +348,10 @@ Result<ExecutedOperator> ExecuteWithFallback(
         breaker.RecordDeviceAbort(status.IsDeviceLost());
         // Only transient faults are worth retrying on the device: heap
         // contention (ResourceExhausted) does not resolve by waiting inside
-        // the operator (Section 2.5.1), and a lost device stays lost.
+        // the operator (Section 2.5.1), and a lost device stays lost. A
+        // retry reserves afresh; one the heap cannot hold falls back.
         if (status.IsUnavailable() && attempt < config.device_retry_limit &&
+            ReserveKnownBytes(node, inputs, ctx, device, &reservation) &&
             breaker.AllowDevice()) {
           const double backoff_micros =
               ctx.simulator().RetryBackoffMicros(attempt);

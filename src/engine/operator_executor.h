@@ -57,10 +57,13 @@ struct OperatorResult {
 ///   2. allocate intermediate data structures from the device heap;
 ///   3. run the kernel, charging device time;
 ///   4. allocate the result buffer (actual result size).
-/// Any failing allocation aborts the operator with ResourceExhausted; the
-/// elapsed time up to the abort is recorded as *wasted time* and all partial
-/// allocations are rolled back. The caller decides how to recover (the
-/// engine's fallback restarts the operator on the CPU, Section 2.5.1).
+/// Phases 1 and 2 draw their buffers from `reservation` when it holds them
+/// (ExecuteWithFallback reserves them outside paper mode) and otherwise
+/// allocate from the heap as they go; phase 4 always allocates from the
+/// heap. Any failing allocation aborts the operator with ResourceExhausted;
+/// the elapsed time up to the abort is recorded as *wasted time* and all
+/// partial allocations are rolled back. The caller decides how to recover
+/// (the engine's fallback restarts the operator on the CPU, Section 2.5.1).
 /// `device` selects which co-processor a kGpu execution binds to (heap,
 /// cache, PCIe link, kernel lock, fault injector). Device-resident inputs
 /// living on *another* device are migrated over the D2D path (dedicated
@@ -68,15 +71,26 @@ struct OperatorResult {
 Result<OperatorResult> ExecuteOperator(const PlanNode& node,
                                        const std::vector<OperatorResult*>& inputs,
                                        ProcessorKind processor,
-                                       EngineContext& ctx, int device = 0);
+                                       EngineContext& ctx, int device = 0,
+                                       DeviceAllocation* reservation = nullptr);
 
 /// ExecuteOperator with the engine's full fault handling:
 ///
-///  * the device circuit breaker is consulted first — while it is open the
+///  * outside paper mode (`SystemConfig::paper_mode`) the attempt first
+///    reserves, in one allocation, every byte of phases 1 and 2: the scan
+///    columns `device`'s cache will not hold (asked of the cache under its
+///    admission rule), the inputs not yet on `device`, and the
+///    intermediates. When the free heap cannot hold that the operator runs
+///    on the CPU without starting — a *heap decline*: no byte moves, and it
+///    is neither an abort nor a breaker outcome. It does not wait for heap
+///    (the operator may hold its inputs' device results: Section 2.5.1's
+///    deadlock). The bytes the attempt does not draw are freed when it ends;
+///  * the device circuit breaker is consulted next — while it is open the
 ///    operator short-circuits to the CPU without touching the device;
 ///  * a *transient* device fault (Unavailable) retries on the device up to
 ///    `SystemConfig::device_retry_limit` times, charging exponential modeled
-///    backoff between attempts;
+///    backoff between attempts; each retry reserves afresh, and one the
+///    heap cannot hold falls back to the CPU;
 ///  * a *persistent* abort (ResourceExhausted — the paper's heap-contention
 ///    abort, Section 2.5.1 — or DeviceLost) restarts the operator on the CPU
 ///    immediately; already-computed child results are preserved;

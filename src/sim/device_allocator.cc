@@ -1,5 +1,7 @@
 #include "sim/device_allocator.h"
 
+#include "common/logging.h"
+
 namespace hetdb {
 
 void DeviceAllocation::Release() {
@@ -12,8 +14,14 @@ void DeviceAllocation::Release() {
   stats_ = nullptr;
 }
 
-Result<DeviceAllocation> DeviceAllocator::Allocate(size_t bytes,
-                                                   const std::string& tag) {
+DeviceAllocation DeviceAllocation::Split(size_t bytes) {
+  HETDB_CHECK(bytes <= bytes_);
+  bytes_ -= bytes;
+  return DeviceAllocation(allocator_, bytes, stats_);
+}
+
+Result<DeviceAllocation> DeviceAllocator::Allocate(
+    size_t bytes, const std::string& tag, DeviceAllocation* reservation) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fault_injector_ != nullptr && fault_injector_->enabled()) {
     const FaultDecision decision =
@@ -24,6 +32,10 @@ Result<DeviceAllocation> DeviceAllocator::Allocate(size_t bytes,
                                " bytes for " + tag);
     }
   }
+  if (reservation != nullptr && reservation->allocator_ == this &&
+      reservation->bytes() >= bytes) {
+    return reservation->Split(bytes);
+  }
   const size_t current = used_.load(std::memory_order_relaxed);
   if (bytes > capacity_ || current > capacity_ - bytes) {
     failed_allocations_.fetch_add(1, std::memory_order_relaxed);
@@ -32,9 +44,21 @@ Result<DeviceAllocation> DeviceAllocator::Allocate(size_t bytes,
         tag + ", used " + std::to_string(current) + "/" +
         std::to_string(capacity_));
   }
+  return TakeLocked(bytes);
+}
+
+DeviceAllocation DeviceAllocator::Reserve(size_t bytes) {
+  if (bytes == 0) return DeviceAllocation(this, 0);
+  std::lock_guard<std::mutex> lock(mutex_);
+  const size_t current = used_.load(std::memory_order_relaxed);
+  if (bytes > capacity_ || current > capacity_ - bytes) return {};
+  return TakeLocked(bytes);
+}
+
+DeviceAllocation DeviceAllocator::TakeLocked(size_t bytes) {
   // Free() runs without mutex_, so add atomically: a plain store of
   // current + bytes would overwrite a concurrent free. Frees only lower
-  // used_, so the capacity check above stays conservative.
+  // used_, so the caller's capacity check stays conservative.
   const size_t now = used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   if (now > peak_used_.load(std::memory_order_relaxed)) {
     peak_used_.store(now, std::memory_order_relaxed);

@@ -51,6 +51,13 @@ class DeviceAllocation {
   void Release();
 
  private:
+  friend class DeviceAllocator;
+
+  /// Moves `bytes` (at most bytes()) of this allocation into a new one on
+  /// the same allocator and query; each returns its own bytes when
+  /// released. No heap bytes change hands.
+  DeviceAllocation Split(size_t bytes);
+
   DeviceAllocator* allocator_ = nullptr;
   size_t bytes_ = 0;
   QueryStatsPtr stats_;
@@ -62,9 +69,14 @@ class DeviceAllocation {
 /// contention* effect: when concurrently running device operators together
 /// request more than `capacity` bytes, `Allocate` fails with
 /// ResourceExhausted, the operator aborts, and the engine restarts it on the
-/// CPU (Section 2.2 / 2.5.1). Allocation is all-or-nothing and never waits:
-/// the paper argues a wait-and-admit scheme would deadlock because operators
-/// allocate in several steps while holding earlier allocations.
+/// CPU (Section 2.2 / 2.5.1). That is how paper mode runs. Outside it, a
+/// device attempt first `Reserve`s every byte it already knows it needs and
+/// draws its phases from that reservation (`Allocate` with a reservation),
+/// so only its result buffer still meets the free heap; a reservation that
+/// does not fit is declined and the operator runs on the CPU instead. Both
+/// are all-or-nothing and never wait: the paper argues a wait-and-admit
+/// scheme would deadlock because operators allocate in several steps while
+/// holding earlier allocations (and their inputs' device results).
 class DeviceAllocator {
  public:
   /// `fault_injector` (optional) is consulted on every allocation at the
@@ -81,9 +93,21 @@ class DeviceAllocator {
   DeviceAllocator(const DeviceAllocator&) = delete;
   DeviceAllocator& operator=(const DeviceAllocator&) = delete;
 
-  /// Attempts to reserve `bytes`. Fails immediately (no queuing) when the
-  /// remaining capacity is insufficient or the fault injector fires.
-  Result<DeviceAllocation> Allocate(size_t bytes, const std::string& tag);
+  /// Attempts to allocate `bytes`. Fails immediately (no queuing) when the
+  /// fault injector fires or the remaining capacity is insufficient. With a
+  /// `reservation` of this heap that still holds `bytes`, they are split off
+  /// it instead of taken from the free heap; the fault injector is consulted
+  /// either way, so a fault schedule strikes the same allocations in and
+  /// out of paper mode.
+  Result<DeviceAllocation> Allocate(size_t bytes, const std::string& tag,
+                                    DeviceAllocation* reservation = nullptr);
+
+  /// Takes `bytes` if the free heap holds them now. Otherwise returns an
+  /// invalid allocation (a *heap decline*): no failed allocation is counted
+  /// and no fault is consulted. The check and the take happen under one
+  /// lock, so two callers never both see room that only one of them gets.
+  /// Reserve(0) returns a valid, empty reservation.
+  DeviceAllocation Reserve(size_t bytes);
 
   size_t capacity() const { return capacity_; }
   int device_id() const { return device_id_; }
@@ -102,6 +126,9 @@ class DeviceAllocator {
 
  private:
   friend class DeviceAllocation;
+  /// Adds `bytes` to the used heap and attributes them to the current
+  /// query. Caller holds mutex_ and has checked the capacity.
+  DeviceAllocation TakeLocked(size_t bytes);
   void Free(size_t bytes);
 
   const size_t capacity_;

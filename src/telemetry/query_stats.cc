@@ -187,6 +187,14 @@ int64_t QueryStats::cpu_fallbacks() const {
   return total;
 }
 
+int64_t QueryStats::heap_declines() const {
+  int64_t total = 0;
+  for (const auto& node : nodes_) {
+    total += node->heap_declines.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 int64_t QueryStats::operators_run() const {
   int64_t total = 0;
   for (const auto& node : nodes_) {
@@ -220,6 +228,10 @@ std::string QueryStats::ToText() const {
       if (ran_on == 1 && device > 0) os << ":" << device;
       if (requested >= 0 && requested != ran_on) {
         os << ", requested " << ProcessorName(requested);
+        // Told apart from a breaker short-circuit, which renders the same.
+        if (node.heap_declines.load(std::memory_order_relaxed) > 0) {
+          os << ", heap_decline";
+        }
       }
       os << "]";
       const int64_t rows_in = node.rows_in.load(std::memory_order_relaxed);
@@ -279,7 +291,8 @@ std::string QueryStats::ToText() const {
      << "  wait=" << FormatMillis(queue_wait_micros())
      << " run=" << FormatMillis(run_micros())
      << "  retries=" << device_retries()
-     << " fallbacks=" << cpu_fallbacks() << "\n";
+     << " fallbacks=" << cpu_fallbacks()
+     << " heap_declines=" << heap_declines() << "\n";
   if (finished() && !ok()) os << "   error: " << error_ << "\n";
   return os.str();
 }
@@ -300,7 +313,8 @@ std::string QueryStats::ToJson() const {
      << ",\"queue_wait_us\":" << queue_wait_micros()
      << ",\"run_us\":" << run_micros()
      << ",\"device_retries\":" << device_retries()
-     << ",\"cpu_fallbacks\":" << cpu_fallbacks() << ",\"nodes\":[";
+     << ",\"cpu_fallbacks\":" << cpu_fallbacks()
+     << ",\"heap_declines\":" << heap_declines() << ",\"nodes\":[";
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const NodeStats& node = *nodes_[i];
     if (i > 0) os << ',';
@@ -335,7 +349,9 @@ std::string QueryStats::ToJson() const {
        << ",\"device_retries\":"
        << node.device_retries.load(std::memory_order_relaxed)
        << ",\"cpu_fallbacks\":"
-       << node.cpu_fallbacks.load(std::memory_order_relaxed) << "}";
+       << node.cpu_fallbacks.load(std::memory_order_relaxed)
+       << ",\"heap_declines\":"
+       << node.heap_declines.load(std::memory_order_relaxed) << "}";
   }
   os << "]}";
   return os.str();
@@ -359,6 +375,7 @@ std::vector<std::pair<std::string, std::string>> QueryStats::SummaryFields()
   fields.emplace_back("run_us", std::to_string(run_micros()));
   fields.emplace_back("device_retries", std::to_string(device_retries()));
   fields.emplace_back("cpu_fallbacks", std::to_string(cpu_fallbacks()));
+  fields.emplace_back("heap_declines", std::to_string(heap_declines()));
   return fields;
 }
 

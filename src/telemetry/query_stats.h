@@ -47,6 +47,9 @@ struct NodeStats {
   std::atomic<int64_t> attempts{0};        ///< executions incl. retries (chops)
   std::atomic<int64_t> device_retries{0};  ///< transient-fault device retries
   std::atomic<int64_t> cpu_fallbacks{0};   ///< device abort -> CPU restart
+  /// Device placement run on the CPU because the heap could not hold the
+  /// attempt's reservation (never started, so not an abort).
+  std::atomic<int64_t> heap_declines{0};
   std::atomic<int> requested{-1};  ///< processor the placer chose
   std::atomic<int> ran_on{-1};     ///< processor that finally ran it
   /// Device the operator finally ran on (-1 for CPU / never ran). Stored as
@@ -204,13 +207,14 @@ class QueryStats {
   // Summed over nodes (recorded by the operator executor per node).
   int64_t device_retries() const;
   int64_t cpu_fallbacks() const;
+  int64_t heap_declines() const;
   int64_t operators_run() const;
 
   // --- Rendering -----------------------------------------------------------
   /// EXPLAIN ANALYZE text tree: one line per operator (indented by depth)
   /// with rows, kernel time per backend, placement, PCIe bytes, cache
-  /// hits/misses, heap high-water, retries/fallbacks, and queue-wait vs run
-  /// time, followed by a query-level summary line.
+  /// hits/misses, heap high-water, retries/fallbacks/heap declines, and
+  /// queue-wait vs run time, followed by a query-level summary line.
   std::string ToText() const;
   /// Deterministic JSON for tooling: fixed field order, nodes in
   /// registration (pre-order) order.

@@ -23,6 +23,9 @@ namespace hetdb {
 ///  * `engine.gpu_operator_aborts` — Figure 13 (aborted device operators);
 ///  * `engine.wasted_micros` — Figure 20: operator start to abort, summed
 ///    over aborted device operators;
+///  * `engine.heap_declines` — device operators run on the CPU before they
+///    started because the heap could not hold their reservation (never in
+///    paper mode; not an abort);
 ///  * `workload.latency_us.<query>` histograms — Figures 17, 21, 25 (tails);
 ///  * transfer time/bytes are read from the PcieBus (Figures 6, 15, 19).
 class Telemetry {
@@ -48,6 +51,10 @@ class Telemetry {
     wasted_micros_->Increment(wasted_micros);
     DeviceCounter("engine.gpu_operator_aborts", device).Increment();
   }
+  void RecordHeapDecline(int device = 0) {
+    heap_declines_->Increment();
+    DeviceCounter("engine.heap_declines", device).Increment();
+  }
   void RecordOperator(bool on_gpu, int device = 0) {
     (on_gpu ? gpu_operators_ : cpu_operators_)->Increment();
     if (on_gpu) DeviceCounter("engine.gpu_operators", device).Increment();
@@ -58,6 +65,9 @@ class Telemetry {
     return static_cast<uint64_t>(gpu_operator_aborts_->value());
   }
   int64_t wasted_micros() const { return wasted_micros_->value(); }
+  uint64_t heap_declines() const {
+    return static_cast<uint64_t>(heap_declines_->value());
+  }
   uint64_t cpu_operators() const {
     return static_cast<uint64_t>(cpu_operators_->value());
   }
@@ -78,6 +88,10 @@ class Telemetry {
     return static_cast<uint64_t>(
         DeviceCounter("engine.gpu_operator_aborts", device).value());
   }
+  uint64_t heap_declines(int device) {
+    return static_cast<uint64_t>(
+        DeviceCounter("engine.heap_declines", device).value());
+  }
 
   /// Zeroes every metric in the registry (per-run reset).
   void Reset() { registry_.Reset(); }
@@ -92,6 +106,7 @@ class Telemetry {
   // Cached so the hot recording paths skip the registry map lookup.
   Counter* gpu_operator_aborts_;
   Counter* wasted_micros_;
+  Counter* heap_declines_;
   Counter* cpu_operators_;
   Counter* gpu_operators_;
   Counter* queries_completed_;

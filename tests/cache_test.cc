@@ -275,6 +275,47 @@ TEST_F(DataCacheTest, MissOnKeyPendingEvictionLoadsTransiently) {
   EXPECT_FALSE(cache.IsCached("t.a"));
 }
 
+TEST_F(DataCacheTest, TransientBytesFollowTheAdmissionRule) {
+  DataCache cache(1000, EvictionPolicy::kLru, simulator_.get());
+  ColumnPtr a = MakeColumn("a", 100);  // 400 bytes each
+  ColumnPtr b = MakeColumn("b", 100);
+  ColumnPtr c = MakeColumn("c", 100);
+  ColumnPtr big = MakeColumn("big", 300);  // 1200 bytes > capacity
+  // Cold: a and b would be admitted, c no longer fits beside them.
+  EXPECT_EQ(cache.TransientBytes({{"t.a", a}, {"t.b", b}}), 0u);
+  EXPECT_EQ(cache.TransientBytes({{"t.a", a}, {"t.b", b}, {"t.c", c}}),
+            cache.EntryBytes(*c));
+  EXPECT_EQ(cache.TransientBytes({{"t.big", big}}), cache.EntryBytes(*big));
+  // A leased a and b: c would have to evict one of them, which it cannot.
+  auto lease_a = cache.RequireOnDevice(a, "t.a");
+  auto lease_b = cache.RequireOnDevice(b, "t.b");
+  EXPECT_EQ(cache.TransientBytes({{"t.c", c}}), cache.EntryBytes(*c));
+  // Released, b may be evicted for c, but not while the same scan hits it.
+  lease_b.lease.Release();
+  EXPECT_EQ(cache.TransientBytes({{"t.c", c}}), 0u);
+  EXPECT_EQ(cache.TransientBytes({{"t.b", b}, {"t.c", c}}),
+            cache.EntryBytes(*c));
+  // The brownout gate closes admission: every miss is transient.
+  cache.SetAdmissionGate([] { return false; });
+  EXPECT_EQ(cache.TransientBytes({{"t.a", a}, {"t.c", c}}),
+            cache.EntryBytes(*c));
+}
+
+TEST_F(DataCacheTest, TransientBufferDrawsFromAReservation) {
+  DataCache cache(300, EvictionPolicy::kLru, simulator_.get());
+  ColumnPtr big = MakeColumn("big", 200);  // 800 bytes > capacity
+  DeviceAllocator& heap = simulator_->device_heap();
+  DeviceAllocation reservation = heap.Reserve(1000);
+  ASSERT_TRUE(reservation.valid());
+  auto access = cache.RequireOnDevice(big, "t.big", &reservation);
+  ASSERT_TRUE(access.status.ok()) << access.status.ToString();
+  EXPECT_EQ(access.heap_buffer.bytes(), 800u);
+  EXPECT_EQ(reservation.bytes(), 200u);
+  EXPECT_EQ(heap.used(), 1000u);
+  reservation.Release();
+  EXPECT_EQ(heap.used(), 800u);
+}
+
 TEST_F(DataCacheTest, TryGetOnlyHitsExistingEntries) {
   DataCache cache(800, EvictionPolicy::kLru, simulator_.get());
   EXPECT_FALSE(cache.TryGet("t.a").has_value());

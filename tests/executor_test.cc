@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -118,7 +119,9 @@ TEST_F(ExecutorTest, GpuScanAbortsWhenHeapAndCacheTooSmall) {
 }
 
 TEST_F(ExecutorTest, GpuScanAbortPaysOnlyTransfersWithGrantedBuffers) {
+  // The paper's allocate-as-you-go: a scan attempt with no reservation.
   SystemConfig config = TestConfig();
+  config.paper_mode = true;
   config.device_cache_bytes = 1 << 10;
   // Heap room for one of the scan's two 4000-byte columns.
   config.device_memory_bytes = config.device_cache_bytes + 6000;
@@ -133,6 +136,164 @@ TEST_F(ExecutorTest, GpuScanAbortPaysOnlyTransfersWithGrantedBuffers) {
                 TransferDirection::kHostToDevice),
             4000u);
   EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);
+}
+
+TEST_F(ExecutorTest, GpuScanBeyondFreeHeapDeclinesBeforeAnyTransfer) {
+  // The default-mode twin of the test above: the scan's reservation for
+  // both 4000-byte columns cannot fit, so it runs on the CPU moving nothing.
+  SystemConfig config = TestConfig();
+  config.device_cache_bytes = 1 << 10;
+  config.device_memory_bytes = config.device_cache_bytes + 6000;
+  EngineContext ctx(config, db_);
+  PlanNodePtr scan = ScanFact();
+  auto executed = ExecuteWithFallback(*scan, {}, ProcessorKind::kGpu, ctx);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
+  EXPECT_FALSE(executed->aborted);
+  EXPECT_EQ(executed->result.table->num_rows(), 1000u);
+  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(ctx.metrics().heap_declines(), 1u);
+  EXPECT_EQ(ctx.simulator().bus().transferred_bytes(
+                TransferDirection::kHostToDevice),
+            0u);
+  EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);
+}
+
+TEST_F(ExecutorTest, TransientScanDrawsItsBuffersFromOneReservation) {
+  SystemConfig config = TestConfig();
+  config.device_memory_bytes = 64 << 10;
+  config.device_cache_bytes = 1 << 10;  // 1 KB cache: columns don't fit
+  EngineContext ctx(config, db_);
+  PlanNodePtr scan = ScanFact();
+  QueryStatsPtr stats = MakeQueryStats(scan);
+  NodeStats* node = stats->Find(scan.get());
+  Result<ExecutedOperator> executed = [&] {
+    QueryStatsScope scope(stats, node);
+    return ExecuteWithFallback(*scan, {}, ProcessorKind::kGpu, ctx);
+  }();
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->ran_on, ProcessorKind::kGpu);
+  const std::vector<DeviceAllocation>& held =
+      executed->result.device_allocations;
+  ASSERT_EQ(held.size(), 2u);
+  // One reservation covered both transient buffers: the heap holds exactly
+  // what the result holds, and the query was charged the bytes once.
+  DeviceAllocator& heap = ctx.simulator().device_heap();
+  EXPECT_EQ(heap.used(), held[0].bytes() + held[1].bytes());
+  EXPECT_EQ(heap.used(), 8000u);
+  EXPECT_EQ(heap.peak_used(), 8000u);
+  EXPECT_EQ(node->device_alloc_bytes.load(), 8000);
+  EXPECT_EQ(stats->heap_bytes_held(), 8000);
+  executed->result.ReleaseDeviceResources();
+  EXPECT_EQ(heap.used(), 0u);
+  EXPECT_EQ(stats->heap_bytes_held(), 0);
+}
+
+TEST_F(ExecutorTest, ColdScanThatFitsTheCacheRunsOnDeviceDespiteSmallHeap) {
+  // The cache would admit both columns, so they cost the heap nothing: the
+  // scan must not be declined for a heap smaller than its columns.
+  SystemConfig config = TestConfig();
+  config.device_cache_bytes = 16 << 10;
+  config.device_memory_bytes = config.device_cache_bytes + (1 << 10);
+  EngineContext ctx(config, db_);
+  PlanNodePtr scan = ScanFact();
+  auto executed = ExecuteWithFallback(*scan, {}, ProcessorKind::kGpu, ctx);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->ran_on, ProcessorKind::kGpu);
+  EXPECT_EQ(executed->result.cache_leases.size(), 2u);
+  EXPECT_TRUE(ctx.cache().IsCached("fact.fk"));
+  EXPECT_TRUE(ctx.cache().IsCached("fact.v"));
+  EXPECT_EQ(ctx.metrics().heap_declines(), 0u);
+  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(ctx.simulator().device_heap().peak_used(), 0u);
+}
+
+/// select(v < 10) requested on the device over a device scan of the cached
+/// column v, on a heap (4 KB) smaller than the select's intermediates
+/// (1.25 x its 4000-byte input). The breaker is half-open with one probe.
+class SmallHeapSelectTest : public ExecutorTest {
+ protected:
+  /// Runs the select; `small_` is the engine it ran on.
+  Result<ExecutedOperator> RunSelect(bool paper_mode) {
+    SystemConfig config = TestConfig();
+    config.paper_mode = paper_mode;
+    config.device_cache_bytes = 8 << 10;
+    config.device_memory_bytes = config.device_cache_bytes + (4 << 10);
+    small_ = std::make_unique<EngineContext>(config, db_);
+    scan_ = ScanFact({"v"});
+    auto scanned = ExecuteOperator(*scan_, {}, ProcessorKind::kGpu, *small_);
+    EXPECT_TRUE(scanned.ok());
+    scanned_ = std::move(scanned).value();
+    EXPECT_TRUE(small_->cache().IsCached("fact.v"));
+
+    DeviceCircuitBreaker::Options options;
+    options.min_samples = 1;
+    options.cooldown_denials = 1;
+    options.cooldown_micros = 0;
+    options.half_open_probes = 1;
+    DeviceCircuitBreaker& breaker = small_->breaker();
+    breaker.Configure(options);
+    breaker.RecordDeviceAbort();          // trips open
+    EXPECT_FALSE(breaker.AllowDevice());  // the denial half-opens it
+    EXPECT_EQ(breaker.state(), DeviceCircuitBreaker::State::kHalfOpen);
+
+    bus_bytes_before_ = BusBytes();
+    select_ = std::make_shared<SelectNode>(
+        scan_, ConjunctiveFilter::And({Predicate::Lt("v", int64_t{10})}));
+    return ExecuteWithFallback(*select_, {&scanned_}, ProcessorKind::kGpu,
+                               *small_);
+  }
+
+  uint64_t BusBytes() {
+    return small_->simulator().bus().transferred_bytes(
+               TransferDirection::kHostToDevice) +
+           small_->simulator().bus().transferred_bytes(
+               TransferDirection::kDeviceToHost);
+  }
+
+  TablePtr CpuReference() {
+    auto reference = ExecuteOperator(*select_, {&scanned_},
+                                     ProcessorKind::kCpu, *ctx_);
+    EXPECT_TRUE(reference.ok());
+    return reference->table;
+  }
+
+  std::unique_ptr<EngineContext> small_;  // outlives the leases below
+  PlanNodePtr scan_;
+  PlanNodePtr select_;
+  OperatorResult scanned_;
+  uint64_t bus_bytes_before_ = 0;
+};
+
+TEST_F(SmallHeapSelectTest, DeclinesToCpuOutsidePaperMode) {
+  Result<ExecutedOperator> executed = RunSelect(/*paper_mode=*/false);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
+  EXPECT_FALSE(executed->aborted);
+  EXPECT_TRUE(TablesEqual(*CpuReference(), *executed->result.table));
+  EXPECT_EQ(small_->metrics().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(small_->metrics().heap_declines(), 1u);
+  EXPECT_EQ(small_->metrics().heap_declines(0), 1u);
+  EXPECT_EQ(small_->simulator().device_heap().failed_allocations(), 0u);
+  EXPECT_EQ(BusBytes(), bus_bytes_before_);
+  EXPECT_EQ(small_->simulator().device_heap().used(), 0u);
+  // The decline took no breaker admission: the one probe is still free.
+  EXPECT_EQ(small_->breaker().state(), DeviceCircuitBreaker::State::kHalfOpen);
+  EXPECT_TRUE(small_->breaker().AllowDevice());
+}
+
+TEST_F(SmallHeapSelectTest, AbortsAndRestartsInPaperMode) {
+  Result<ExecutedOperator> executed = RunSelect(/*paper_mode=*/true);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
+  EXPECT_TRUE(executed->aborted);
+  EXPECT_TRUE(TablesEqual(*CpuReference(), *executed->result.table));
+  EXPECT_EQ(small_->metrics().gpu_operator_aborts(), 1u);
+  EXPECT_EQ(small_->metrics().heap_declines(), 0u);
+  EXPECT_EQ(small_->simulator().device_heap().failed_allocations(), 1u);
+  EXPECT_EQ(small_->simulator().device_heap().used(), 0u);
+  // The attempt was the half-open probe, and its abort re-opened the breaker.
+  EXPECT_EQ(small_->breaker().state(), DeviceCircuitBreaker::State::kOpen);
 }
 
 TEST_F(ExecutorTest, GpuSelectOverCpuChildTransfersInput) {
@@ -351,6 +512,53 @@ TEST_F(ExecutorTest, ChoppingSurvivesAllocatorFailures) {
   auto result = chopping.ExecuteQuery(SimplePlan(), MakeHypePlacer());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()->num_rows(), 10u);
+}
+
+/// Eight threads run GPU Only selections on a heap that holds about 1.5 of
+/// them. Each reserves its intermediates before it starts, so a second
+/// cannot start beside the first, and the heap still holds every result:
+/// the others decline to the CPU instead of aborting.
+TEST_F(ExecutorTest, ConcurrentSelectionsDeclineInsteadOfAborting) {
+  auto make_plan = [this] {
+    return PlanNodePtr(std::make_shared<SelectNode>(
+        ScanFact({"v"}),
+        ConjunctiveFilter::And({Predicate::Lt("v", int64_t{5})})));
+  };
+  StrategyRunner cpu(ctx_.get(), Strategy::kCpuOnly);
+  Result<TablePtr> reference = cpu.RunQuery(make_plan());
+  ASSERT_TRUE(reference.ok());
+  const size_t input_bytes = 4000;  // the 1000-row int32 column v
+  const size_t one_selection =
+      input_bytes + input_bytes / 4 + reference.value()->data_bytes();
+
+  SystemConfig config = TestConfig();
+  config.device_cache_bytes = 8 << 10;
+  config.device_memory_bytes = config.device_cache_bytes + one_selection * 3 / 2;
+  EngineContext ctx(config, db_);
+  StrategyRunner gpu(&ctx, Strategy::kGpuOnly);
+  constexpr int kThreads = 8;
+  constexpr int kQueriesPerThread = 25;
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int q = 0; q < kQueriesPerThread; ++q) {
+        Result<TablePtr> result = gpu.RunQuery(make_plan());
+        if (!result.ok() || !TablesEqual(*reference.value(), *result.value())) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const DeviceAllocator& heap = ctx.simulator().device_heap();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(heap.failed_allocations(), 0u);
+  EXPECT_LE(heap.peak_used(), heap.capacity());
+  EXPECT_EQ(heap.used(), 0u);
+  EXPECT_EQ(ctx.metrics().queries_completed(),
+            static_cast<uint64_t>(kThreads * kQueriesPerThread));
 }
 
 TEST_F(ExecutorTest, ChoppingReportsQueryErrors) {

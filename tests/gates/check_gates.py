@@ -16,6 +16,7 @@ import subprocess
 import sys
 
 GATES = {
+    "fig13": ["--fig13"],
     "fig14": ["--fig14"],
     "fig17": ["--fig17"],
     "scaleout": ["--scaleout", "--min-speedup", "1.15"],

@@ -176,6 +176,65 @@ TEST(ExplainTest, AnalyzeShowsPerOperatorResourceAttribution) {
   EXPECT_NE(json.find("\"h2d_bytes\":"), std::string::npos);
 }
 
+/// A GPU Only selection over a cached column. On a heap smaller than the
+/// select's intermediates it is declined to the CPU (outside paper mode);
+/// on a roomy heap behind a half-open breaker with no probe slot it
+/// short-circuits instead. Both leave the node requested on the GPU and run
+/// on the CPU; EXPLAIN ANALYZE tells them apart.
+TEST(ExplainTest, AnalyzeMarksHeapDeclinesApartFromShortCircuits) {
+  DatabasePtr db = SsbDb();
+  const std::vector<NamedQuery> queries = SerialSelectionQueries();
+  auto run = [&](size_t heap_bytes, bool deny_probes) {
+    SystemConfig config;
+    config.simulate_time = false;
+    config.device_cache_bytes = 2 * LineorderColumnBytes(db);
+    config.device_memory_bytes = config.device_cache_bytes + heap_bytes;
+    EngineContext ctx(config, db);
+    StrategyRunner runner(&ctx, Strategy::kGpuOnly);
+    Result<PlanNodePtr> plan = queries[0].builder(*db);
+    EXPECT_TRUE(plan.ok());
+    EXPECT_TRUE(runner.RunQuery(plan.value()).ok());  // caches the column
+    if (deny_probes) {
+      DeviceCircuitBreaker::Options options;
+      options.min_samples = 1;
+      options.cooldown_denials = 1;
+      options.cooldown_micros = 0;
+      options.half_open_probes = 0;
+      ctx.breaker().Configure(options);
+      ctx.breaker().RecordDeviceAbort();  // trips open
+      ctx.breaker().AllowDevice();        // the denial half-opens it
+    }
+    QueryStatsPtr stats = MakeQueryStats(plan.value());
+    EXPECT_TRUE(runner.RunQuery(plan.value(), stats).ok());
+    return stats;
+  };
+
+  QueryStatsPtr declined =
+      run(LineorderColumnBytes(db) / 2, /*deny_probes=*/false);
+  const std::string text = declined->ToText();
+  EXPECT_NE(text.find("[CPU, requested GPU, heap_decline]"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("heap_declines=1"), std::string::npos) << text;
+  const std::string json = declined->ToJson();
+  EXPECT_NE(json.find("\"cpu_fallbacks\":0,\"heap_declines\":1,\"nodes\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(declined->heap_declines(), 1);
+  EXPECT_EQ(declined->cpu_fallbacks(), 0);
+  bool summarized = false;
+  for (const auto& [key, value] : declined->SummaryFields()) {
+    if (key == "heap_declines") summarized = value == "1";
+  }
+  EXPECT_TRUE(summarized);
+
+  QueryStatsPtr short_circuited = run(1ull << 20, /*deny_probes=*/true);
+  const std::string open_text = short_circuited->ToText();
+  EXPECT_NE(open_text.find("[CPU, requested GPU]"), std::string::npos)
+      << open_text;
+  EXPECT_EQ(open_text.find("heap_decline]"), std::string::npos) << open_text;
+  EXPECT_EQ(short_circuited->heap_declines(), 0);
+}
+
 TEST(ExplainTest, FailedQueryRendersErrorAndStatus) {
   QueryStats stats;
   stats.MarkSubmitted();

@@ -74,6 +74,57 @@ TEST(DeviceAllocatorTest, MoveTransfersOwnership) {
   EXPECT_EQ(allocator.used(), 0u);
 }
 
+TEST(DeviceAllocatorTest, ReserveDeclinesWithoutCountingAFailure) {
+  DeviceAllocator allocator(100);
+  DeviceAllocation held = allocator.Reserve(70);
+  ASSERT_TRUE(held.valid());
+  EXPECT_EQ(allocator.used(), 70u);
+  // 40 more bytes do not fit: declined, not failed.
+  EXPECT_FALSE(allocator.Reserve(40).valid());
+  EXPECT_EQ(allocator.failed_allocations(), 0u);
+  EXPECT_EQ(allocator.used(), 70u);
+  // An empty reservation is valid and takes nothing.
+  DeviceAllocation empty = allocator.Reserve(0);
+  EXPECT_TRUE(empty.valid());
+  EXPECT_EQ(allocator.used(), 70u);
+}
+
+TEST(DeviceAllocatorTest, AllocationsDrawFromAReservation) {
+  DeviceAllocator allocator(100);
+  DeviceAllocation reservation = allocator.Reserve(60);
+  ASSERT_TRUE(reservation.valid());
+  auto a = allocator.Allocate(25, "a", &reservation);
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a->bytes(), 25u);
+  EXPECT_EQ(reservation.bytes(), 35u);
+  EXPECT_EQ(allocator.used(), 60u);  // drawn, not taken again
+  // More than the reservation holds comes from the free heap instead.
+  auto b = allocator.Allocate(40, "b", &reservation);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(reservation.bytes(), 35u);
+  EXPECT_EQ(allocator.used(), 100u);
+  // Each piece returns its own bytes.
+  reservation.Release();
+  EXPECT_EQ(allocator.used(), 65u);
+  a->Release();
+  b->Release();
+  EXPECT_EQ(allocator.used(), 0u);
+  EXPECT_EQ(allocator.peak_used(), 100u);
+}
+
+TEST(DeviceAllocatorTest, InjectedFaultsStrikeDrawsFromAReservation) {
+  FaultInjector injector;
+  DeviceAllocator allocator(1000, &injector);
+  DeviceAllocation reservation = allocator.Reserve(500);
+  ASSERT_TRUE(reservation.valid());
+  injector.SetSchedule(FaultSite::kDeviceAlloc,
+                       FaultSchedule::Always(FaultKind::kHeapExhausted));
+  auto drawn = allocator.Allocate(100, "x", &reservation);
+  EXPECT_TRUE(drawn.status().IsResourceExhausted());
+  EXPECT_EQ(allocator.failed_allocations(), 1u);
+  EXPECT_EQ(reservation.bytes(), 500u);
+}
+
 TEST(DeviceAllocatorTest, FailureInjection) {
   FaultInjector injector;
   DeviceAllocator allocator(1000, &injector);
