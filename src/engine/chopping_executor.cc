@@ -257,6 +257,12 @@ void ChoppingExecutor::ReleaseTaskInputs(OpTask* task) {
 void ChoppingExecutor::PlaceTask(const QueryExecPtr& query, OpTask* task) {
   const std::vector<OperatorResult*> inputs = TaskInputs(task);
   ProcessorKind kind = query->placer(*task->node, inputs, *ctx_);
+  // The placer's answer is what the node requested, whatever demotes it
+  // below: EXPLAIN ANALYZE renders a demoted node `[CPU, requested GPU]`.
+  if (task->stats != nullptr) {
+    task->stats->requested.store(kind == ProcessorKind::kGpu ? 1 : 0,
+                                 std::memory_order_relaxed);
+  }
   if (kind == ProcessorKind::kGpu &&
       (!query->device_allowed || ctx_->brownout().level_int() >= 3)) {
     // Brownout pinning: a cold template at L2, or survival mode (L3) entered

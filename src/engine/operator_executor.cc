@@ -293,10 +293,6 @@ Result<ExecutedOperator> ExecuteWithFallback(
     ProcessorKind processor, EngineContext& ctx, int device) {
   bool aborted = false;
   NodeStats* node_stats = QueryStatsScope::current_node();
-  if (node_stats != nullptr) {
-    node_stats->requested.store(processor == ProcessorKind::kGpu ? 1 : 0,
-                                std::memory_order_relaxed);
-  }
   if (processor == ProcessorKind::kGpu) {
     DeviceCircuitBreaker& breaker = ctx.breaker(device);
     const SystemConfig& config = ctx.config();

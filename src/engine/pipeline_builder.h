@@ -12,10 +12,13 @@ namespace hetdb {
 /// Project members (via their only child) and Join members (via the probe
 /// child; the build child becomes a separate input of the fused node). An
 /// Aggregate may appear only as the chain's top member. The chain must
-/// bottom out in a Scan and contain at least two members; a static
-/// name-binding check (mirroring the runtime binder's rules) rejects chains
-/// the fused evaluator would decline — e.g. filters on non-source columns
-/// or probe keys on computed columns — so those fuse lower down instead.
+/// bottom out in a Scan and contain at least two members, and the fused
+/// node's own binder must accept it (`FusedPipelineNode::Binds`, against
+/// the scan's real columns, build sides unknown): a filter on a non-source
+/// column or one `CompileCnf` rejects, a probe key that is computed or not
+/// an integer, and so on, leave the chain unfused, so it fuses lower down
+/// instead. One binder decides, so a fused chain can fail to bind at run
+/// time only on a build side, and then replays its members.
 ///
 /// The rewrite is structural only: it never changes results. Unchanged
 /// subtrees are returned as the same node objects, so running the pass on an
@@ -23,11 +26,14 @@ namespace hetdb {
 ///
 /// `max_fused_joins` bounds the join members one fused pipeline may absorb
 /// (-1 = unlimited). A chain over the bound is declined whole; the recursion
-/// then fuses the shorter chains below it, so the plan degrades to several
-/// smaller pipelines instead of one deep one. The brownout controller's L1
-/// level uses `1` to disable *multi*-join fusion: deep fused pipelines hold
-/// every build table on-device at once, exactly the footprint to shed first
-/// under heap pressure.
+/// then fuses the shorter chains below it, if any. The brownout
+/// controller's L1 level uses `1` to disable *multi*-join fusion: deep fused
+/// pipelines hold every build table on-device at once, exactly the
+/// footprint to shed first under heap pressure. A chain needs two members,
+/// so where the lowest join sits directly on the scan the probe side has
+/// no shorter chain to fuse: L1 leaves SSB Q2.1-Q4.3 and TPC-H Q2 wholly
+/// unfused, and keeps a one-join pipeline only where a select sits between
+/// the scan and a join (SSB Q1.x; TPC-H Q3, Q4, Q5 and Q7).
 PlanNodePtr FusePipelines(const PlanNodePtr& root, int max_fused_joins = -1);
 
 class QueryStats;

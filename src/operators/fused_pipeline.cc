@@ -51,8 +51,8 @@ struct ComputedCol {
 
 /// One join member lowered: where the probe key lives plus the build side.
 /// The probe key is additionally resolved to a typed raw pointer (binding
-/// guarantees an integer column), so the match loop reads it without a
-/// per-row IntKeyAt call.
+/// with every input guarantees an integer column), so the match loop reads
+/// it without a per-row IntKeyAt call.
 struct BoundJoin {
   Binding probe_key;
   ColumnPtr build_key;
@@ -112,10 +112,14 @@ bool IsIntegerColumn(const Column& column) {
          column.type() == DataType::kInt64;
 }
 
-/// Lowers the member chain against the actual input tables. Any status
-/// other than OK means "run the operator-at-a-time fallback instead" — the
-/// fallback reproduces the unfused semantics (including genuine query
-/// errors) exactly, so declining here is always safe.
+/// Lowers the member chain against the input tables, the only fusability
+/// rule. A build table that is absent (null or past the end of `inputs`:
+/// the plan rewrite binds before any build runs) binds its columns
+/// provisionally, with a null ColumnPtr and so no type; such a binding is
+/// only ever asked whether it succeeds. Any status other than OK means "run
+/// the operator-at-a-time fallback instead" — the fallback reproduces the
+/// unfused semantics (including genuine query errors) exactly, so declining
+/// here is always safe.
 Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
                              const std::vector<TablePtr>& inputs) {
   BoundChain bound;
@@ -159,21 +163,22 @@ Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
       }
       case PlanOp::kJoin: {
         const auto& join = static_cast<const JoinNode&>(member);
-        if (1 + join_level >= inputs.size() ||
-            inputs[1 + join_level] == nullptr) {
-          return Status::NotImplemented("missing build input");
-        }
-        const Table& build = *inputs[1 + join_level];
+        const Table* build = 1 + join_level < inputs.size()
+                                 ? inputs[1 + join_level].get()
+                                 : nullptr;
         const SchemaCol* probe = find(join.probe_key());
         if (probe == nullptr ||
             probe->binding.kind == Binding::Kind::kComputed ||
-            !IsIntegerColumn(*probe->binding.column)) {
+            (probe->binding.column != nullptr &&
+             !IsIntegerColumn(*probe->binding.column))) {
           return Status::NotImplemented("probe key not integer-column-bound");
         }
-        HETDB_ASSIGN_OR_RETURN(ColumnPtr build_key,
-                               build.GetColumn(join.build_key()));
-        if (!IsIntegerColumn(*build_key)) {
-          return Status::NotImplemented("build key not integer");
+        ColumnPtr build_key;
+        if (build != nullptr) {
+          HETDB_ASSIGN_OR_RETURN(build_key, build->GetColumn(join.build_key()));
+          if (!IsIntegerColumn(*build_key)) {
+            return Status::NotImplemented("build key not integer");
+          }
         }
         const JoinOutputSpec& spec = join.output_spec();
         if ((!spec.build_aliases.empty() &&
@@ -185,13 +190,14 @@ Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
         BoundJoin bound_join;
         bound_join.probe_key = probe->binding;
         bound_join.build_key = std::move(build_key);
-        const Column& probe_col = *probe->binding.column;
-        if (probe_col.type() == DataType::kInt32) {
-          bound_join.key_i32 =
-              static_cast<const Int32Column&>(probe_col).values().data();
-        } else {
-          bound_join.key_i64 =
-              static_cast<const Int64Column&>(probe_col).values().data();
+        if (const Column* probe_col = probe->binding.column.get()) {
+          if (probe_col->type() == DataType::kInt32) {
+            bound_join.key_i32 =
+                static_cast<const Int32Column&>(*probe_col).values().data();
+          } else {
+            bound_join.key_i64 =
+                static_cast<const Int64Column&>(*probe_col).values().data();
+          }
         }
         bound.joins.push_back(std::move(bound_join));
         // The join's output schema replaces the current one: build columns
@@ -199,8 +205,11 @@ Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
         // order).
         std::vector<SchemaCol> next;
         for (size_t i = 0; i < spec.build_columns.size(); ++i) {
-          HETDB_ASSIGN_OR_RETURN(ColumnPtr column,
-                                 build.GetColumn(spec.build_columns[i]));
+          ColumnPtr column;
+          if (build != nullptr) {
+            HETDB_ASSIGN_OR_RETURN(column,
+                                   build->GetColumn(spec.build_columns[i]));
+          }
           const std::string& out_name = spec.build_aliases.empty()
                                             ? spec.build_columns[i]
                                             : spec.build_aliases[i];
@@ -252,12 +261,17 @@ Result<BoundChain> BindChain(const std::vector<PlanNodePtr>& members,
             }
             cc.right = right->binding;
           }
+          // A provisional build column has no type; the binding that
+          // evaluates the expression has every input.
+          auto is_double = [](const Binding& b) {
+            return b.column != nullptr &&
+                   b.column->type() == DataType::kDouble;
+          };
           cc.integer_result =
-              expr.op != ArithmeticExpr::Op::kDiv &&
-              cc.left.column->type() != DataType::kDouble &&
+              expr.op != ArithmeticExpr::Op::kDiv && !is_double(cc.left) &&
               (expr.right_column.empty()
                    ? expr.right_constant == std::floor(expr.right_constant)
-                   : cc.right.column->type() != DataType::kDouble);
+                   : !is_double(cc.right));
           bound.computed.push_back(cc);
           next.push_back({expr.output_name,
                           {Binding::Kind::kComputed, -1, nullptr,
@@ -631,6 +645,15 @@ FusedPipelineNode::FusedPipelineNode(std::vector<PlanNodePtr> children,
   HETDB_CHECK(this->children().size() == 1 + num_joins_);
 }
 
+bool FusedPipelineNode::Binds(const std::vector<PlanNodePtr>& members,
+                              const ScanNode& source) {
+  auto table = std::make_shared<Table>(source.table()->name());
+  for (const auto& [key, column] : source.base_columns()) {
+    if (!table->AddColumn(column).ok()) return false;
+  }
+  return BindChain(members, {std::move(table)}).ok();
+}
+
 OpClass FusedPipelineNode::op_class() const {
   if (num_joins_ > 0) return OpClass::kJoin;
   if (members_.back()->op() == PlanOp::kAggregate) return OpClass::kAggregate;
@@ -724,8 +747,9 @@ Result<TablePtr> FusedPipelineNode::ComputeResult(
   }
   Result<BoundChain> bound = BindChain(members_, inputs);
   if (!bound.ok()) {
-    // Shape the fused evaluator does not handle (or a genuine query error):
-    // replay the members operator-at-a-time for exact unfused semantics.
+    // A chain the rewrite fused declines only on a build side, and each
+    // such shape is an error of the unfused join too: replay the members
+    // operator-at-a-time for the exact unfused error.
     return ReplayMembers(inputs);
   }
   return EvaluateBoundChain(bound.value(), inputs, stats);

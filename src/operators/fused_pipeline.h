@@ -30,9 +30,16 @@ namespace hetdb {
 /// within key) match order, the same group-key packer and first-seen group
 /// table, the same per-group ascending double accumulation, and the same
 /// output typing rules — all shared with the per-operator kernels via
-/// `kernels_internal.h`. If runtime binding finds a shape the fused
-/// evaluator does not handle, it falls back to replaying the member
-/// operators one at a time, which *is* the unfused execution.
+/// `kernels_internal.h`.
+///
+/// One binder decides what fuses. `Binds` runs it at plan time for the
+/// rewrite; `ComputeResult` and `ResultDeviceBytesBound` run it again with
+/// every input. A chain that bound at plan time can then decline only on a
+/// build side, which did not exist before: a missing or non-integer build
+/// key, a missing build column, or a non-integer probe key read from a
+/// build column. The unfused join rejects each of these too, so a declined
+/// run replays the member operators one at a time, which *is* the unfused
+/// execution, errors included.
 class FusedPipelineNode : public PlanNode {
  public:
   /// `children` = [source, build_0, ..., build_{J-1}]: the source feeds the
@@ -42,6 +49,14 @@ class FusedPipelineNode : public PlanNode {
   /// Aggregate are valid (the pipeline builder guarantees this).
   FusedPipelineNode(std::vector<PlanNodePtr> children,
                     std::vector<PlanNodePtr> members);
+
+  /// True iff the fused evaluator binds `members` (bottom-up) over
+  /// `source`'s columns. The build tables do not exist yet, so their
+  /// columns bind provisionally, with no type. Reads the scan's
+  /// `base_columns()`, not its `ComputeResult`, which would count a column
+  /// access that Algorithm 1 reads.
+  static bool Binds(const std::vector<PlanNodePtr>& members,
+                    const ScanNode& source);
 
   OpClass op_class() const override;
   Result<TablePtr> ComputeResult(
@@ -59,7 +74,7 @@ class FusedPipelineNode : public PlanNode {
 
  private:
   /// Operator-at-a-time fallback: executes the members one by one exactly
-  /// as the unfused plan would (used when runtime binding declines).
+  /// as the unfused plan would (used when a build side fails to bind).
   Result<TablePtr> ReplayMembers(const std::vector<TablePtr>& inputs) const;
 
   std::vector<PlanNodePtr> members_;

@@ -1330,15 +1330,12 @@ Result<TablePtr> HashJoin(const Table& build, const std::string& build_key,
 
   HETDB_ASSIGN_OR_RETURN(ColumnPtr build_key_col, build.GetColumn(build_key));
   HETDB_ASSIGN_OR_RETURN(ColumnPtr probe_key_col, probe.GetColumn(probe_key));
-  if (build_key_col->type() != DataType::kInt32 &&
-      build_key_col->type() != DataType::kInt64) {
-    return Status::InvalidArgument("join key '" + build_key +
-                                   "' must be integer");
+  for (const ColumnPtr& key : {build_key_col, probe_key_col}) {
+    if (key->type() != DataType::kInt32 && key->type() != DataType::kInt64) {
+      return Status::InvalidArgument("join key '" + key->name() +
+                                     "' must be integer");
+    }
   }
-  // Probe keys face the same integer requirement the reference join enforces
-  // (fatally) in IntKeyAt.
-  HETDB_CHECK(probe_key_col->type() == DataType::kInt32 ||
-              probe_key_col->type() == DataType::kInt64);
 
   const JoinTable table(*build_key_col, stats);
   const size_t probe_rows = probe.num_rows();

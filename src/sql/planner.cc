@@ -70,14 +70,30 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
     tables[owner].needed.insert(column);
     return Status::OK();
   };
+  // Only for resolved columns.
+  auto is_string = [&](const std::string& column) {
+    const Table& table = *tables[column_owner.at(column)].table;
+    return table.GetColumn(column).value()->type() == DataType::kString;
+  };
 
-  // Output-producing columns.
+  // Output-producing columns. The kernels compute on numbers only, so
+  // arithmetic, and every aggregate but COUNT, over a string column is an
+  // error here rather than a trap at run time.
   for (const SelectItem& item : statement.items) {
     if (item.kind == SelectItem::Kind::kAggregate && item.expr.column.empty()) {
       continue;  // COUNT(*)
     }
+    const bool computes =
+        item.expr.has_arithmetic ||
+        (item.kind == SelectItem::Kind::kAggregate &&
+         item.fn != AggregateFn::kCount);
     for (const std::string& column : item.expr.Columns()) {
       HETDB_RETURN_NOT_OK(require(column));
+      if (computes && is_string(column)) {
+        return Status::InvalidArgument("select item '" + item.OutputName() +
+                                       "' computes on string column '" +
+                                       column + "'");
+      }
     }
   }
   for (const std::string& column : statement.group_by) {
@@ -240,8 +256,21 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
   }
 
   // --- 3b. Residual column equalities (e.g. c_nationkey = s_nationkey) -------
+  // Each is a projected difference, so it needs numeric columns.
+  auto check_residual = [&](const std::string& left,
+                            const std::string& right) -> Status {
+    for (const std::string& column : {left, right}) {
+      if (is_string(column)) {
+        return Status::InvalidArgument("residual filter '" + left + " = " +
+                                       right + "' compares string column '" +
+                                       column + "'");
+      }
+    }
+    return Status::OK();
+  };
   for (size_t r = 0; r < residual_eq.size(); ++r) {
     const auto& [left, right] = residual_eq[r];
+    HETDB_RETURN_NOT_OK(check_residual(left, right));
     const std::string diff_name = "residual_diff_" + std::to_string(r);
     std::vector<std::string> keep(available.begin(), available.end());
     current = std::make_shared<ProjectNode>(
@@ -255,6 +284,8 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
   // Unused join edges between already-joined tables are residual too.
   for (size_t e = 0; e < edges.size(); ++e) {
     if (edges[e].used) continue;
+    HETDB_RETURN_NOT_OK(
+        check_residual(edges[e].left_column, edges[e].right_column));
     const std::string diff_name = "join_diff_" + std::to_string(e);
     std::vector<std::string> keep(available.begin(), available.end());
     current = std::make_shared<ProjectNode>(
@@ -296,8 +327,11 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
       AggregateSpec spec;
       spec.fn = item.fn;
       spec.output_name = item.OutputName();
-      if (item.expr.column.empty()) {
-        spec.input_column = "";  // COUNT(*)
+      if (item.expr.column.empty() ||
+          (item.fn == AggregateFn::kCount && is_string(item.expr.column))) {
+        // COUNT(*); COUNT(<string column>) counts the same rows, as columns
+        // hold no NULLs.
+        spec.input_column = "";
       } else if (item.expr.IsPlainColumn()) {
         spec.input_column = item.expr.column;
       } else {

@@ -74,7 +74,16 @@ Status CpuOnlyStatus(const DatabasePtr& db, const PlanNodePtr& plan,
 
 class FusedPipelineTest : public ::testing::Test {
  protected:
-  void SetUp() override { db_ = MakeTinyDb(); }
+  /// MakeTinyDb() plus a string column `tag` ("t0".."t2") on the fact table.
+  void SetUp() override {
+    db_ = MakeTinyDb();
+    TablePtr fact = db_->GetTable("fact").value();
+    auto tag = StringColumn::FromDictionary("tag", {"t0", "t1", "t2"});
+    for (size_t i = 0; i < fact->num_rows(); ++i) {
+      tag->AppendCode(static_cast<int32_t>(i % 3));
+    }
+    ASSERT_TRUE(fact->AddColumn(std::move(tag)).ok());
+  }
 
   PlanNodePtr ScanFact(std::vector<std::string> columns = {"fk", "v"}) {
     return std::make_shared<ScanNode>(db_->GetTable("fact").value(),
@@ -556,6 +565,36 @@ TEST_F(FusedPipelineTest, StaticValidationDeclinesUnknownColumns) {
   EXPECT_FALSE(unfused_status.ok());
   EXPECT_FALSE(fused_status.ok());
   EXPECT_EQ(unfused_status.code(), fused_status.code());
+}
+
+TEST_F(FusedPipelineTest, SourceShapesAKernelRejectsStayUnfused) {
+  // Two chains a kernel rejects with InvalidArgument for the source's
+  // column types: a filter comparing a string column with a number
+  // (CompileCnf), and a join probed with a string column (HashJoin). The
+  // rewrite asks the fused binder, which binds against the scan's real
+  // columns, so neither fuses; fused or not, the query reports the error.
+  PlanNodePtr string_filter = std::make_shared<AggregateNode>(
+      std::make_shared<SelectNode>(
+          ScanFact({"fk", "v", "tag"}),
+          ConjunctiveFilter::And({Predicate::Lt("tag", int64_t{5})})),
+      std::vector<std::string>{"fk"},
+      std::vector<AggregateSpec>{{AggregateFn::kSum, "v", "total"}});
+  JoinOutputSpec spec;
+  spec.build_columns = {"name"};
+  spec.probe_columns = {"v"};
+  PlanNodePtr string_probe = std::make_shared<JoinNode>(
+      ScanDim(),
+      std::make_shared<SelectNode>(
+          ScanFact({"fk", "v", "tag"}),
+          ConjunctiveFilter::And({Predicate::Lt("v", int64_t{50})})),
+      "key", "tag", spec);
+  for (const PlanNodePtr& plan : {string_filter, string_probe}) {
+    EXPECT_EQ(CountFusedNodes(FusePipelines(plan)), 0u);
+    for (const bool fusion : {false, true}) {
+      const Status status = CpuOnlyStatus(db_, plan, fusion);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    }
+  }
 }
 
 TEST_F(FusedPipelineTest, RuntimeReplayPreservesQueryErrors) {

@@ -235,6 +235,34 @@ TEST(ExplainTest, AnalyzeMarksHeapDeclinesApartFromShortCircuits) {
   EXPECT_EQ(short_circuited->heap_declines(), 0);
 }
 
+/// GPU Only with device 0's breaker open: no device admits work, so the
+/// chopping executor demotes every operator to the CPU when it places it.
+/// EXPLAIN ANALYZE still shows that the placer asked for the GPU.
+TEST(ExplainTest, AnalyzeMarksPlacementDemotionsAsRequestedGpu) {
+  DatabasePtr db = SsbDb();
+  SystemConfig config;
+  config.simulate_time = false;
+  EngineContext ctx(config, db);
+  DeviceCircuitBreaker::Options options;
+  options.min_samples = 1;
+  options.cooldown_denials = 1 << 20;
+  options.cooldown_micros = 0;  // stays open for the whole query
+  ctx.breaker().Configure(options);
+  ctx.breaker().RecordDeviceAbort();  // trips open
+  ASSERT_EQ(ctx.breaker().state(), DeviceCircuitBreaker::State::kOpen);
+
+  StrategyRunner runner(&ctx, Strategy::kGpuOnly);
+  Result<PlanNodePtr> plan = SerialSelectionQueries()[0].builder(*db);
+  ASSERT_TRUE(plan.ok());
+  QueryStatsPtr stats = MakeQueryStats(plan.value());
+  ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
+  const std::string text = stats->ToText();
+  EXPECT_NE(text.find("[CPU, requested GPU]"), std::string::npos) << text;
+  EXPECT_EQ(text.find("[CPU]"), std::string::npos) << text;
+  EXPECT_EQ(text.find("[GPU"), std::string::npos) << text;
+  EXPECT_EQ(stats->heap_declines(), 0);
+}
+
 TEST(ExplainTest, FailedQueryRendersErrorAndStatus) {
   QueryStats stats;
   stats.MarkSubmitted();

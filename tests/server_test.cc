@@ -689,6 +689,32 @@ TEST_F(ServerTest, LineProtocolOverSocketpair) {
   EXPECT_FALSE(client.ReadLine().empty());
   EXPECT_EQ(client.ReadLine(), "DONE");
 
+  // Statements that compute on a string column, or probe a join with one,
+  // are typed errors, not the end of the server; COUNT of a string column
+  // counts rows.
+  for (const char* sql :
+       {"SELECT sum(lo_shipmode) AS s FROM lineorder",
+        "SELECT min(lo_shipmode) AS s FROM lineorder",
+        "SELECT sum(lo_shipmode * 2) AS s FROM lineorder",
+        "SELECT count(*) AS n FROM lineorder, date "
+        "WHERE lo_shipmode = d_datekey"}) {
+    client.Send(std::string("QUERY ") + sql + "\n");
+    const std::string reply = client.ReadLine();
+    EXPECT_EQ(reply.rfind("ERR InvalidArgument ", 0), 0u)
+        << sql << ": " << reply;
+  }
+  client.Send("QUERY SELECT count(lo_shipmode) AS n FROM lineorder\n");
+  const std::string counted = client.ReadLine();
+  ASSERT_EQ(counted.rfind("ROWS 1 1 1 ", 0), 0u) << counted;
+  EXPECT_EQ(client.ReadLine(),
+            std::to_string(db_->GetTable("lineorder").value()->num_rows()));
+  EXPECT_EQ(client.ReadLine(), "DONE");
+  client.Send("QUERY SELECT count(lo_revenue) AS n FROM lineorder\n");
+  const std::string still = client.ReadLine();
+  ASSERT_EQ(still.rfind("ROWS 1 1 1 ", 0), 0u) << still;
+  EXPECT_FALSE(client.ReadLine().empty());
+  EXPECT_EQ(client.ReadLine(), "DONE");
+
   client.Send("BYE\n");
   EXPECT_TRUE(client.AtEof());
 }

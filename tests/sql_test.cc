@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/pipeline_builder.h"
+#include "operators/fused_pipeline.h"
 #include "placement/strategy_runner.h"
 #include "sql/explain.h"
 #include "sql/lexer.h"
@@ -12,6 +15,8 @@
 #include "ssb/ssb_generator.h"
 #include "ssb/ssb_queries.h"
 #include "tests/test_util.h"
+#include "tpch/tpch_generator.h"
+#include "tpch/tpch_queries.h"
 
 namespace hetdb {
 namespace {
@@ -348,6 +353,73 @@ TEST_F(SqlEndToEndTest, SsbSqlStreamsLineorderAndMatchesHandBuiltPlans) {
   }
 }
 
+/// The member counts of the fused nodes of FusePipelines(plan, cap), in
+/// pre-order.
+std::vector<size_t> FusedShape(const PlanNodePtr& plan, int max_fused_joins) {
+  const PlanNodePtr fused = FusePipelines(plan, max_fused_joins);
+  std::vector<const PlanNode*> pipelines;
+  CollectOp(*fused, PlanOp::kFusedPipeline, &pipelines);
+  std::vector<size_t> counts;
+  for (const PlanNode* node : pipelines) {
+    counts.push_back(
+        static_cast<const FusedPipelineNode&>(*node).members().size());
+  }
+  return counts;
+}
+
+/// Fused member counts with no join cap, then at brownout L1's cap of one.
+struct FusionShape {
+  std::vector<size_t> unlimited;
+  std::vector<size_t> one_join;
+};
+
+void ExpectFusionShape(const PlanNodePtr& plan, const FusionShape& expected) {
+  EXPECT_EQ(FusedShape(plan, -1), expected.unlimited) << RenderPlanTree(plan);
+  EXPECT_EQ(FusedShape(plan, 1), expected.one_join) << RenderPlanTree(plan);
+}
+
+// Which chains fuse in every benchmark plan. A change to the fusability
+// rule (FusedPipelineNode::Binds) that moves a decision shows here. The
+// one-join cap fuses nothing in SSB Q2.x-Q4.x or TPC-H Q2: their lowest
+// join sits directly on the scan, and a chain needs two members.
+TEST_F(SqlEndToEndTest, FusionDecisionsOnEveryBenchmarkPlan) {
+  auto ssb_shape = [](const std::string& name) -> FusionShape {
+    if (name.rfind("Q1.", 0) == 0) return {{4}, {4}};
+    if (name.rfind("Q4.", 0) == 0) return {{6}, {}};
+    return {{4}, {}};  // Q2.x and Q3.x
+  };
+  for (const NamedQuery& query : SsbQueries()) {
+    SCOPED_TRACE("hand-built " + query.name);
+    Result<PlanNodePtr> plan = query.builder(*db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ExpectFusionShape(plan.value(), ssb_shape(query.name));
+  }
+  for (const auto& [name, sql] : kSsbSql) {
+    SCOPED_TRACE(std::string("SQL ") + name);
+    Result<PlanNodePtr> plan = PlanSql(sql, *db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ExpectFusionShape(plan.value(), ssb_shape(name));
+  }
+
+  // TPC-H Q7 is the case a plan-time bind exists for: `select(nkdiff <> 0)`
+  // filters a column a project computes, so the chains from the top down
+  // to it are declined and the 4-member chain below it fuses.
+  const std::map<std::string, FusionShape> tpch_shapes = {
+      {"Q2", {{3, 3}, {}}}, {"Q3", {{3, 2}, {3, 2}}}, {"Q4", {{3}, {3}}},
+      {"Q5", {{3, 2}, {2}}}, {"Q6", {{3}, {3}}},    {"Q7", {{4}, {2}}}};
+  TpchGeneratorOptions options;
+  options.scale_factor = 0.01;
+  const DatabasePtr tpch = GenerateTpchDatabase(options);
+  const std::vector<NamedQuery> tpch_queries = TpchQueries();
+  ASSERT_EQ(tpch_queries.size(), tpch_shapes.size());
+  for (const NamedQuery& query : tpch_queries) {
+    SCOPED_TRACE("TPC-H " + query.name);
+    Result<PlanNodePtr> plan = query.builder(*tpch);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ExpectFusionShape(plan.value(), tpch_shapes.at(query.name));
+  }
+}
+
 TEST_F(SqlEndToEndTest, MultiJoinGroupByOrderBy) {
   TablePtr result = Run(
       "SELECT c_nation, d_year, sum(lo_revenue) AS revenue "
@@ -401,6 +473,42 @@ TEST_F(SqlEndToEndTest, PlannerErrors) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
     EXPECT_NE(status.message().find(position), std::string::npos) << status;
   }
+  // Aggregates other than COUNT, arithmetic, and residual column equalities
+  // over a string column would trap in a kernel; the planner refuses them.
+  for (const char* sql :
+       {"SELECT sum(lo_shipmode) AS s FROM lineorder",
+        "SELECT min(lo_shipmode) AS s FROM lineorder",
+        "SELECT sum(lo_shipmode * 2) AS s FROM lineorder",
+        "SELECT lo_shipmode * 2 AS x FROM lineorder",
+        "SELECT count(*) AS n FROM lineorder "
+        "WHERE lo_shipmode = lo_shippriority"}) {
+    const Status status = PlanSql(sql, *db_).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << sql << ": " << status;
+  }
+  // A join probed with a string column plans, and the join kernel refuses
+  // it, fused or not.
+  const char* string_probe =
+      "SELECT count(*) AS n FROM lineorder, date "
+      "WHERE lo_shipmode = d_datekey";
+  Result<PlanNodePtr> plan = PlanSql(string_probe, *db_);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const bool fusion : {false, true}) {
+    SystemConfig config = TestConfig();
+    config.fusion = fusion;
+    EngineContext ctx(config, db_);
+    StrategyRunner runner(&ctx, Strategy::kDataDrivenChopping);
+    const Status status = runner.RunQuery(plan.value()).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+  // COUNT of a string column is no error: it counts rows, as columns hold
+  // no NULLs.
+  TablePtr counted = Run("SELECT count(lo_shipmode) AS n FROM lineorder");
+  ASSERT_NE(counted, nullptr);
+  ASSERT_EQ(counted->num_rows(), 1u);
+  EXPECT_EQ(ColumnCast<Int64Column>(*counted->GetColumn("n").value()).value(0),
+            static_cast<int64_t>(
+                db_->GetTable("lineorder").value()->num_rows()));
 }
 
 TEST_F(SqlEndToEndTest, SameTableColumnEqualityIsResidualFilter) {
