@@ -64,14 +64,12 @@ struct SystemConfig {
       /*project_mbps=*/5000.0,   /*materialize_mbps=*/8000.0};
 
   // --- PCIe interconnect ---------------------------------------------------
-  /// Modeled PCIe bandwidth for asynchronous (page-locked, streamed)
-  /// transfers. Transfers serialize on the bus. Well below CPU scan speed,
-  /// as in the paper's machine (PCIe ~8 GB/s vs tens of GB/s memory
-  /// bandwidth): a cold-cache device run loses to the CPU (Figure 1).
+  /// Modeled PCIe bandwidth. Every transfer is modeled as asynchronous
+  /// (page-locked, streamed; Section 2.5.3), and transfers serialize on the
+  /// bus. Well below CPU scan speed, as in the paper's machine (PCIe ~8 GB/s
+  /// vs tens of GB/s memory bandwidth): a cold-cache device run loses to the
+  /// CPU (Figure 1).
   double pcie_mbps = 100.0;
-  /// Multiplier (<1) applied to bandwidth for synchronous transfers that pay
-  /// the pageable-staging penalty (Section 2.5.3).
-  double pcie_sync_efficiency = 0.6;
   /// Bandwidth of the dedicated device-to-device interconnect (NVLink-style)
   /// between any pair of devices. 0 disables it: device-to-device traffic
   /// then routes through the host, paying D2H on the source device's PCIe
@@ -79,13 +77,8 @@ struct SystemConfig {
   double d2d_mbps = 0.0;
 
   // --- Fault tolerance -----------------------------------------------------
-  /// Device retries granted to an operator whose device attempt failed with
-  /// a *transient* fault (Unavailable) before it falls back to the CPU.
-  /// Persistent faults (ResourceExhausted, DeviceLost) never retry on the
-  /// device — heap contention does not resolve by retrying (Section 2.5.1)
-  /// and a lost device will not come back for this operator.
-  int device_retry_limit = 2;
-  /// Modeled backoff charged before device retry k (exponential:
+  // The retry limits are constants (engine/operator_executor.h).
+  /// Modeled backoff charged before device or transfer retry k (exponential:
   /// 2^k * this many microseconds — the *ceiling* when jitter is on).
   double device_retry_backoff_micros = 50.0;
   /// Full jitter on the retry backoff: each retry sleeps a uniform random
@@ -96,10 +89,6 @@ struct SystemConfig {
   /// reproducible under tests.
   bool device_retry_jitter = true;
   uint64_t retry_jitter_seed = 0x5eed'ba0full;
-  /// Retries granted to a result copy-back transfer that failed transiently
-  /// (D2H copies have no CPU fallback — the authoritative bytes are on the
-  /// device — so the only recovery is retrying the wire).
-  int transfer_retry_limit = 2;
 
   // --- Simulation control --------------------------------------------------
   /// If false, the simulator performs all bookkeeping (allocations, byte

@@ -295,7 +295,6 @@ Result<ExecutedOperator> ExecuteWithFallback(
   NodeStats* node_stats = QueryStatsScope::current_node();
   if (processor == ProcessorKind::kGpu) {
     DeviceCircuitBreaker& breaker = ctx.breaker(device);
-    const SystemConfig& config = ctx.config();
     DeviceAllocation reservation;
     if (!ReserveKnownBytes(node, inputs, ctx, device, &reservation)) {
       // The heap cannot hold what the operator already knows it needs: run
@@ -346,7 +345,7 @@ Result<ExecutedOperator> ExecuteWithFallback(
         // contention (ResourceExhausted) does not resolve by waiting inside
         // the operator (Section 2.5.1), and a lost device stays lost. A
         // retry reserves afresh; one the heap cannot hold falls back.
-        if (status.IsUnavailable() && attempt < config.device_retry_limit &&
+        if (status.IsUnavailable() && attempt < kDeviceRetryLimit &&
             ReserveKnownBytes(node, inputs, ctx, device, &reservation) &&
             breaker.AllowDevice()) {
           const double backoff_micros =
@@ -387,11 +386,10 @@ Result<ExecutedOperator> ExecuteWithFallback(
 
 Status TransferWithRetry(size_t bytes, TransferDirection direction,
                          EngineContext& ctx, int device) {
-  const SystemConfig& config = ctx.config();
   for (int attempt = 0;; ++attempt) {
     Status status = ctx.simulator().bus(device).Transfer(bytes, direction);
     if (status.ok() || !status.IsUnavailable() ||
-        attempt >= config.transfer_retry_limit) {
+        attempt >= kTransferRetryLimit) {
       return status;
     }
     const double backoff_micros = ctx.simulator().RetryBackoffMicros(attempt);

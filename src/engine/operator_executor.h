@@ -74,6 +74,17 @@ Result<OperatorResult> ExecuteOperator(const PlanNode& node,
                                        EngineContext& ctx, int device = 0,
                                        DeviceAllocation* reservation = nullptr);
 
+/// Device retries granted to an operator whose device attempt failed with a
+/// *transient* fault (Unavailable) before it falls back to the CPU.
+/// Persistent faults (ResourceExhausted, DeviceLost) never retry on the
+/// device: heap contention does not resolve by retrying (Section 2.5.1) and
+/// a lost device will not come back for this operator.
+inline constexpr int kDeviceRetryLimit = 2;
+/// Retries granted to a result copy-back transfer that failed transiently.
+/// A D2H copy has no CPU fallback (the authoritative bytes are on the
+/// device), so the only recovery is retrying the wire.
+inline constexpr int kTransferRetryLimit = 2;
+
 /// ExecuteOperator with the engine's full fault handling:
 ///
 ///  * outside paper mode (`SystemConfig::paper_mode`) the attempt first
@@ -88,9 +99,9 @@ Result<OperatorResult> ExecuteOperator(const PlanNode& node,
 ///  * the device circuit breaker is consulted next — while it is open the
 ///    operator short-circuits to the CPU without touching the device;
 ///  * a *transient* device fault (Unavailable) retries on the device up to
-///    `SystemConfig::device_retry_limit` times, charging exponential modeled
-///    backoff between attempts; each retry reserves afresh, and one the
-///    heap cannot hold falls back to the CPU;
+///    kDeviceRetryLimit times, charging exponential modeled backoff between
+///    attempts; each retry reserves afresh, and one the heap cannot hold
+///    falls back to the CPU;
 ///  * a *persistent* abort (ResourceExhausted — the paper's heap-contention
 ///    abort, Section 2.5.1 — or DeviceLost) restarts the operator on the CPU
 ///    immediately; already-computed child results are preserved;
@@ -108,9 +119,9 @@ Result<ExecutedOperator> ExecuteWithFallback(
     ProcessorKind processor, EngineContext& ctx, int device = 0);
 
 /// Runs one bus transfer, retrying transient faults (Unavailable) up to
-/// `SystemConfig::transfer_retry_limit` times with exponential modeled
-/// backoff. For device-to-host result copy-backs, whose only recovery is the
-/// wire itself. Persistent faults return the clean non-OK status.
+/// kTransferRetryLimit times with exponential modeled backoff. For
+/// device-to-host result copy-backs, whose only recovery is the wire itself.
+/// Persistent faults return the clean non-OK status.
 Status TransferWithRetry(size_t bytes, TransferDirection direction,
                          EngineContext& ctx, int device = 0);
 

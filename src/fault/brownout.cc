@@ -5,6 +5,24 @@
 
 namespace hetdb {
 
+namespace {
+
+/// Heap pressure that calls for at least L1 / L2.
+constexpr double kHeapL1 = 0.90;
+constexpr double kHeapL2 = 0.98;
+/// Windowed device abort ratio that calls for at least L1 / L2.
+constexpr double kAbortRatioL1 = 0.25;
+constexpr double kAbortRatioL2 = 0.50;
+/// Device attempts a window needs before its abort ratio counts: a single
+/// cold abort must not read as a 100% storm.
+constexpr int64_t kMinWindowAttempts = 8;
+/// Windowed shed fraction that calls for at least L1.
+constexpr double kShedRateL1 = 0.10;
+/// Templates the hotness map tracks; later ones count as cold.
+constexpr size_t kMaxTemplates = 4096;
+
+}  // namespace
+
 const char* BrownoutLevelName(BrownoutLevel level) {
   switch (level) {
     case BrownoutLevel::kL0:
@@ -23,10 +41,12 @@ BrownoutController::BrownoutController(const Options& options,
                                        int device_count,
                                        MetricRegistry* registry,
                                        FlightRecorder* recorder)
-    : options_(options),
+    : hot_template_min_hits_(options.hot_template_min_hits),
       device_count_(std::max(device_count, 1)),
       registry_(registry),
       recorder_(recorder),
+      damping_(options.escalate_updates, options.calm_updates,
+               /*one_step_up=*/true),
       last_thrashing_(static_cast<size_t>(std::max(device_count, 1)), false) {
   if (registry_ != nullptr) registry_->GetGauge("brownout.level").Set(0);
 }
@@ -49,18 +69,15 @@ int BrownoutController::TargetLevelLocked(
   // Serious: confirmed thrashing, a tripped breaker, or a heap that is
   // pinned at capacity — L1's relief valves were not enough.
   if (signals.worst_thrash_state >= 2 || signals.any_breaker_open ||
-      signals.heap_pressure >= options_.heap_l2 ||
-      abort_ratio >= options_.abort_ratio_l2) {
+      signals.heap_pressure >= kHeapL2 || abort_ratio >= kAbortRatioL2) {
     return 2;
   }
   // Early pressure from any subsystem: shed load pre-emptively by trimming
   // the footprint levers (DoP, multi-join fusion) before queries start
   // aborting.
   if (signals.worst_thrash_state >= 1 || signals.any_breaker_half_open ||
-      signals.heap_pressure >= options_.heap_l1 ||
-      abort_ratio >= options_.abort_ratio_l1 ||
-      admission.queued >= options_.queue_depth_l1 ||
-      shed_rate >= options_.shed_rate_l1) {
+      signals.heap_pressure >= kHeapL1 || abort_ratio >= kAbortRatioL1 ||
+      admission.queued >= kQueueDepthL1 || shed_rate >= kShedRateL1) {
     return 1;
   }
   return 0;
@@ -97,13 +114,10 @@ void BrownoutController::PublishDeviceMaskLocked(
   device_mask_.store(mask, std::memory_order_relaxed);
 }
 
-void BrownoutController::TransitionLocked(int next) {
-  const int prev = level_.load(std::memory_order_relaxed);
-  if (next == prev) return;
+void BrownoutController::TransitionLocked(int prev) {
+  const int next = damping_.level();
   level_.store(next, std::memory_order_relaxed);
   ++transitions_;
-  escalate_streak_ = 0;
-  calm_streak_ = 0;
   const char* from = BrownoutLevelName(static_cast<BrownoutLevel>(prev));
   const char* to = BrownoutLevelName(static_cast<BrownoutLevel>(next));
   if (registry_ != nullptr) {
@@ -139,7 +153,7 @@ BrownoutLevel BrownoutController::Update(const BrownoutSignals& signals) {
   if (has_previous_) {
     const int64_t attempts = signals.gpu_attempts - prev_gpu_attempts_;
     const int64_t aborts = signals.gpu_aborts - prev_gpu_aborts_;
-    if (attempts >= options_.min_window_attempts && aborts > 0) {
+    if (attempts >= kMinWindowAttempts && aborts > 0) {
       abort_ratio =
           static_cast<double>(aborts) / static_cast<double>(attempts);
     }
@@ -155,32 +169,19 @@ BrownoutLevel BrownoutController::Update(const BrownoutSignals& signals) {
   prev_shed_ = admission.shed;
   has_previous_ = true;
 
-  const int current = level_.load(std::memory_order_relaxed);
-  const int target = TargetLevelLocked(signals, abort_ratio, admission,
-                                       shed_rate);
-  if (target > current) {
-    calm_streak_ = 0;
-    if (++escalate_streak_ >= options_.escalate_updates) {
-      // One level at a time: give each restriction a window to take effect
-      // before adding the next.
-      TransitionLocked(current + 1);
-    }
-  } else if (target < current) {
-    escalate_streak_ = 0;
-    if (++calm_streak_ >= options_.calm_updates) {
-      TransitionLocked(current - 1);
-    }
-  } else {
-    escalate_streak_ = 0;
-    calm_streak_ = 0;
+  // One level at a time: each restriction gets a window to take effect
+  // before the next is added.
+  const int prev = damping_.level();
+  if (damping_.Observe(
+          TargetLevelLocked(signals, abort_ratio, admission, shed_rate))) {
+    TransitionLocked(prev);
   }
   PublishDeviceMaskLocked(&signals);
   return static_cast<BrownoutLevel>(level_.load(std::memory_order_relaxed));
 }
 
 int BrownoutController::DopCap() const {
-  return level_.load(std::memory_order_relaxed) >= 1 ? options_.l1_dop_cap
-                                                     : 0;
+  return level_.load(std::memory_order_relaxed) >= 1 ? kL1DopCap : 0;
 }
 
 bool BrownoutController::AllowMultiJoinFusion() const {
@@ -204,7 +205,7 @@ void BrownoutController::NoteQuery(uint64_t fingerprint) {
     ++it->second;
     return;
   }
-  if (template_hits_.size() < options_.max_templates) {
+  if (template_hits_.size() < kMaxTemplates) {
     template_hits_.emplace(fingerprint, 1);
   }
 }
@@ -216,7 +217,7 @@ bool BrownoutController::AllowDeviceForTemplate(uint64_t fingerprint) const {
   std::lock_guard<std::mutex> lock(template_mutex_);
   auto it = template_hits_.find(fingerprint);
   return it != template_hits_.end() &&
-         it->second >= options_.hot_template_min_hits;
+         it->second >= hot_template_min_hits_;
 }
 
 void BrownoutController::NoteCpuPin() {
@@ -232,15 +233,16 @@ uint64_t BrownoutController::transitions() const {
 
 void BrownoutController::ForceLevel(BrownoutLevel level) {
   std::lock_guard<std::mutex> lock(mutex_);
-  TransitionLocked(static_cast<int>(level));
+  const int prev = damping_.level();
+  if (damping_.Set(static_cast<int>(level))) TransitionLocked(prev);
   PublishDeviceMaskLocked(nullptr);
 }
 
 void BrownoutController::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  TransitionLocked(0);
-  escalate_streak_ = 0;
-  calm_streak_ = 0;
+  const int prev = damping_.level();
+  damping_.Reset();
+  if (prev != 0) TransitionLocked(prev);
   has_previous_ = false;
   last_thrashing_.assign(static_cast<size_t>(device_count_), false);
   PublishDeviceMaskLocked(nullptr);

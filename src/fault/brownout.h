@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hysteresis.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metric_registry.h"
 
@@ -70,8 +71,8 @@ struct BrownoutAdmissionProbe {
 /// sees one device's aborts, the detector one device's heap, the admission
 /// governor one queue. The brownout controller is the component that sees
 /// all of them at once and trades throughput for survival deliberately,
-/// stepping a small ladder of degradation levels (BrownoutLevel) with
-/// streak-based hysteresis — one noisy window cannot flip the system into
+/// stepping a small ladder of degradation levels (BrownoutLevel) damped by
+/// the ladder's Hysteresis — one noisy window cannot flip the system into
 /// survival mode, and recovery requires sustained calm.
 ///
 /// Escalation moves one level per decision so each restriction gets a
@@ -87,29 +88,17 @@ struct BrownoutAdmissionProbe {
 class BrownoutController {
  public:
   struct Options {
-    /// Heap pressure contributing to L1 / forcing at least L2.
-    double heap_l1 = 0.90;
-    double heap_l2 = 0.98;
-    /// Windowed device abort ratio contributing to L1 / L2.
-    double abort_ratio_l1 = 0.25;
-    double abort_ratio_l2 = 0.50;
-    /// Minimum device attempts in a window before the abort ratio counts
-    /// (a single cold abort must not read as a 100% storm).
-    int64_t min_window_attempts = 8;
-    /// Admission queue depth / windowed shed fraction contributing to L1.
-    int queue_depth_l1 = 32;
-    double shed_rate_l1 = 0.10;
     /// Consecutive qualifying updates before escalating / de-escalating.
     int escalate_updates = 2;
     int calm_updates = 4;
-    /// Intra-operator DoP ceiling applied at L1 and above.
-    int l1_dop_cap = 2;
     /// Template hits required to count as "hot" for L2 device admission.
     uint64_t hot_template_min_hits = 3;
-    /// Bound on the template-hotness map (new templates beyond it are
-    /// treated as cold rather than tracked).
-    size_t max_templates = 4096;
   };
+
+  /// Intra-operator DoP ceiling applied at L1 and above.
+  static constexpr int kL1DopCap = 2;
+  /// Admission queue depth that calls for at least L1.
+  static constexpr int kQueueDepthL1 = 32;
 
   BrownoutController(const Options& options, int device_count,
                      MetricRegistry* registry = nullptr,
@@ -165,22 +154,23 @@ class BrownoutController {
   int TargetLevelLocked(const BrownoutSignals& signals, double abort_ratio,
                         const BrownoutAdmissionProbe& admission,
                         double shed_rate) const;
-  void TransitionLocked(int next);
+  /// Publishes the change from level `prev` to the damping's level.
+  void TransitionLocked(int prev);
   void PublishDeviceMaskLocked(const BrownoutSignals* signals);
 
-  const Options options_;
+  const uint64_t hot_template_min_hits_;
   const int device_count_;
   MetricRegistry* const registry_;
   FlightRecorder* const recorder_;
 
+  /// Mirrors damping_'s level for the lock-free policy reads.
   std::atomic<int> level_{0};
   /// Bit d set = placement on device d allowed. Recomputed every Update.
   std::atomic<uint64_t> device_mask_{~0ull};
 
   mutable std::mutex mutex_;  // guards everything below
   std::function<BrownoutAdmissionProbe()> probe_;
-  int escalate_streak_ = 0;
-  int calm_streak_ = 0;
+  Hysteresis damping_;
   uint64_t transitions_ = 0;
   // Previous cumulative counters for windowing.
   int64_t prev_gpu_attempts_ = 0;

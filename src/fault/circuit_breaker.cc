@@ -77,6 +77,19 @@ void DeviceCircuitBreaker::TransitionLocked(State next) {
   }
 }
 
+void DeviceCircuitBreaker::PushOutcomeLocked(bool abort) {
+  const auto slot = static_cast<size_t>(window_next_);
+  const bool evicted = window_[slot];
+  window_[slot] = abort;
+  window_next_ = (window_next_ + 1) % static_cast<int>(window_.size());
+  if (window_count_ < static_cast<int>(window_.size())) {
+    ++window_count_;
+  } else if (evicted) {
+    --window_aborts_;
+  }
+  if (abort) ++window_aborts_;
+}
+
 void DeviceCircuitBreaker::DenyLocked() {
   ++denials_;
   if (registry_ != nullptr) registry_->GetCounter(metric_prefix_ + "breaker.denials").Increment();
@@ -133,17 +146,9 @@ bool DeviceCircuitBreaker::device_available() {
 void DeviceCircuitBreaker::RecordDeviceSuccess() {
   std::lock_guard<std::mutex> lock(mutex_);
   switch (state_) {
-    case State::kClosed: {
-      const bool evicted = window_[static_cast<size_t>(window_next_)];
-      window_[static_cast<size_t>(window_next_)] = false;
-      window_next_ = (window_next_ + 1) % static_cast<int>(window_.size());
-      if (window_count_ < static_cast<int>(window_.size())) {
-        ++window_count_;
-      } else if (evicted) {
-        --window_aborts_;
-      }
+    case State::kClosed:
+      PushOutcomeLocked(/*abort=*/false);
       return;
-    }
     case State::kHalfOpen:
       if (probes_inflight_ > 0) --probes_inflight_;
       ++probe_successes_;
@@ -163,23 +168,14 @@ void DeviceCircuitBreaker::RecordDeviceAbort(bool device_lost) {
     return;
   }
   switch (state_) {
-    case State::kClosed: {
-      const bool evicted = window_[static_cast<size_t>(window_next_)];
-      window_[static_cast<size_t>(window_next_)] = true;
-      window_next_ = (window_next_ + 1) % static_cast<int>(window_.size());
-      if (window_count_ < static_cast<int>(window_.size())) {
-        ++window_count_;
-        ++window_aborts_;
-      } else if (!evicted) {
-        ++window_aborts_;
-      }
+    case State::kClosed:
+      PushOutcomeLocked(/*abort=*/true);
       if (window_count_ >= options_.min_samples &&
           static_cast<double>(window_aborts_) >=
               options_.trip_ratio * static_cast<double>(window_count_)) {
         TransitionLocked(State::kOpen);
       }
       return;
-    }
     case State::kHalfOpen:
       if (probes_inflight_ > 0) --probes_inflight_;
       TransitionLocked(State::kOpen);  // probe failed: back off again

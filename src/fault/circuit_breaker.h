@@ -50,7 +50,9 @@ namespace hetdb {
 /// `breaker.transitions` counters).
 class DeviceCircuitBreaker {
  public:
-  enum class State { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
+  /// Ordered by severity, as the thrash states and brownout levels are; the
+  /// `breaker.state` gauge reads these values.
+  enum class State { kClosed = 0, kHalfOpen = 1, kOpen = 2 };
 
   struct Options {
     /// Sliding window of recent device-attempt outcomes.
@@ -113,6 +115,8 @@ class DeviceCircuitBreaker {
 
  private:
   void TransitionLocked(State next);
+  /// Pushes one closed-state outcome into the sliding window.
+  void PushOutcomeLocked(bool abort);
   void DenyLocked();
   /// Half-opens an open breaker whose wall-clock cooldown floor has elapsed.
   void MaybeCooldownLocked();

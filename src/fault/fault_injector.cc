@@ -58,17 +58,17 @@ void FaultInjector::SetSchedule(FaultSite site, const FaultSchedule& schedule) {
   RefreshEnabled();
 }
 
-void FaultInjector::SetOfflineSchedule(const OfflineSchedule& schedule) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  offline_schedule_ = schedule;
-  RefreshEnabled();
-}
-
 void FaultInjector::ForceOffline(int duration_events) {
   std::lock_guard<std::mutex> lock(mutex_);
   offline_remaining_ = duration_events;
-  if (duration_events > 0) {
-    NoteOfflineEpisodeLocked("forced", duration_events);
+  if (duration_events > 0 && recorder_ != nullptr) {
+    // An offline episode is the chaos escalation worth a post-mortem: the
+    // whole device disappears for `duration_events` consultations.
+    recorder_->RecordFault(
+        "device_offline",
+        {{"origin", "forced"},
+         {"duration_events", std::to_string(duration_events)}});
+    recorder_->AutoDump("device_offline");
   }
   RefreshEnabled();
 }
@@ -80,15 +80,12 @@ void FaultInjector::ClearAll() {
     burst_remaining_[site] = 0;
     faults_by_site_[site] = 0;
   }
-  offline_schedule_ = OfflineSchedule();
   offline_remaining_ = 0;
   RefreshEnabled();
 }
 
 void FaultInjector::RefreshEnabled() {
-  bool armed = offline_remaining_ > 0 ||
-               (offline_schedule_.start_probability > 0 &&
-                offline_schedule_.duration_events > 0);
+  bool armed = offline_remaining_ > 0;
   for (int site = 0; site < kNumFaultSites && !armed; ++site) {
     armed = schedules_[site].kind != FaultKind::kNone &&
             schedules_[site].probability > 0;
@@ -117,15 +114,6 @@ FaultDecision FaultInjector::Decide(FaultSite site, size_t bytes) {
   if (offline_remaining_ > 0) {
     --offline_remaining_;
     if (offline_remaining_ == 0) RefreshEnabled();
-    CountFault(site, FaultKind::kDeviceLost);
-    return FaultDecision{FaultKind::kDeviceLost, 1.0};
-  }
-  if (offline_schedule_.start_probability > 0 &&
-      offline_schedule_.duration_events > 0 &&
-      rng_.NextBool(offline_schedule_.start_probability)) {
-    offline_remaining_ = offline_schedule_.duration_events - 1;
-    NoteOfflineEpisodeLocked("probabilistic",
-                             offline_schedule_.duration_events);
     CountFault(site, FaultKind::kDeviceLost);
     return FaultDecision{FaultKind::kDeviceLost, 1.0};
   }
@@ -174,17 +162,6 @@ void FaultInjector::BindMetrics(MetricRegistry* registry) {
 void FaultInjector::BindFlightRecorder(FlightRecorder* recorder) {
   std::lock_guard<std::mutex> lock(mutex_);
   recorder_ = recorder;
-}
-
-void FaultInjector::NoteOfflineEpisodeLocked(const char* origin,
-                                             int duration_events) {
-  if (recorder_ == nullptr) return;
-  // An offline episode is the chaos escalation worth a post-mortem: the
-  // whole device disappears for `duration_events` consultations.
-  recorder_->RecordFault(
-      "device_offline",
-      {{"origin", origin}, {"duration_events", std::to_string(duration_events)}});
-  recorder_->AutoDump("device_offline");
 }
 
 void FaultInjector::ResetStats() {

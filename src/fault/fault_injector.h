@@ -83,14 +83,6 @@ struct FaultSchedule {
   }
 };
 
-/// Whole-device-offline episodes: with `start_probability` per event (any
-/// site), the device goes offline for the next `duration_events` injector
-/// consultations — every site returns kDeviceLost until the episode drains.
-struct OfflineSchedule {
-  double start_probability = 0.0;
-  int duration_events = 0;
-};
-
 /// The injector's verdict for one event.
 struct FaultDecision {
   FaultKind kind = FaultKind::kNone;
@@ -130,11 +122,9 @@ class FaultInjector {
   /// schedule disarms the site.
   void SetSchedule(FaultSite site, const FaultSchedule& schedule);
 
-  /// Arms probabilistic whole-device-offline episodes.
-  void SetOfflineSchedule(const OfflineSchedule& schedule);
-
-  /// Forces the device offline for the next `duration_events` consultations
-  /// (deterministic episode, independent of the Rng).
+  /// Forces the device offline for the next `duration_events` consultations:
+  /// every site returns kDeviceLost until the episode drains. Deterministic,
+  /// independent of the Rng; the only way a device goes offline.
   void ForceOffline(int duration_events);
 
   /// Disarms every site, offline episodes included.
@@ -171,8 +161,6 @@ class FaultInjector {
 
   void RefreshEnabled();  // caller holds mutex_
   void CountFault(FaultSite site, FaultKind kind);  // caller holds mutex_
-  /// Records an offline-episode start and auto-dumps; caller holds mutex_.
-  void NoteOfflineEpisodeLocked(const char* origin, int duration_events);
 
   mutable std::mutex mutex_;
   std::atomic<bool> enabled_{false};
@@ -180,7 +168,6 @@ class FaultInjector {
   FaultSchedule schedules_[kNumFaultSites];
   uint64_t faults_by_site_[kNumFaultSites] = {};
   int burst_remaining_[kNumFaultSites] = {};
-  OfflineSchedule offline_schedule_;
   int offline_remaining_ = 0;
   std::atomic<uint64_t> total_faults_{0};
   std::atomic<uint64_t> counts_[kNumFaultSites][kNumKinds] = {};

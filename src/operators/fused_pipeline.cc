@@ -420,6 +420,7 @@ Result<TablePtr> MaterializeMatches(const BoundChain& bound,
             : GatherColumn(*col.binding.column, rows[StreamOf(col.binding)],
                            col.name)));
   }
+  if (bound.schema.empty()) output->set_num_rows(rows[0].size());
   return output;
 }
 
@@ -475,7 +476,10 @@ Result<TablePtr> AggregateMatches(const BoundChain& bound,
       group_of[t] = it->second;
     }
   }
-  const size_t num_groups = representative.size();
+  // A global aggregate has one group even over zero matches, as in
+  // AggregateReference.
+  const size_t num_groups =
+      bound.group_bindings.empty() ? 1 : representative.size();
 
   // Classify inputs: physical columns via the shared ClassifyAggInput
   // (identical typing + the same fatal on strings), computed expressions by

@@ -772,6 +772,9 @@ Result<TablePtr> MaterializeJoinOutput(const Table& build, const Table& probe,
     HETDB_RETURN_NOT_OK(
         output->AddColumn(GatherColumn(*column, matches.probe_rows, alias)));
   }
+  if (output->num_columns() == 0) {
+    output->set_num_rows(matches.probe_rows.size());  // e.g. for COUNT(*)
+  }
   return output;
 }
 
@@ -945,7 +948,10 @@ Result<TablePtr> AggregateReference(
     if (inserted) representative_row.push_back(static_cast<uint32_t>(i));
     group_of_row[i] = it->second;
   }
-  const size_t num_groups = representative_row.size();
+  // A global aggregate has one group even over zero rows: it returns one
+  // row of empty-group values (AppendAggregateColumns).
+  const size_t num_groups =
+      group_cols.empty() ? 1 : representative_row.size();
 
   std::vector<AggInput> inputs;
   inputs.reserve(agg_inputs.size());

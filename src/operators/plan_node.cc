@@ -76,6 +76,9 @@ Result<TablePtr> ScanNode::ComputeResult(
     column->RecordAccess();
     HETDB_RETURN_NOT_OK(output->AddColumn(column));  // zero-copy alias
   }
+  // A scan that reads no column (COUNT(*)) still carries the row count,
+  // without reading, counting or moving a column to get it.
+  if (base_columns_.empty()) output->set_num_rows(table_->num_rows());
   return output;
 }
 

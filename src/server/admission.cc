@@ -6,6 +6,13 @@
 
 namespace hetdb {
 
+namespace {
+
+/// EWMA smoothing of the service-time estimate the shed test uses.
+constexpr double kEwmaAlpha = 0.2;
+
+}  // namespace
+
 AdmissionController::AdmissionController(const AdmissionOptions& options,
                                          MetricRegistry* registry,
                                          FlightRecorder* recorder,
@@ -69,7 +76,7 @@ double AdmissionController::EstimatedLatencyLocked(
                        static_cast<double>(std::max<size_t>(
                            round_robin_.size(), 1));
   const double backlog = turns / static_cast<double>(std::max(limit_, 1));
-  return options_.slo_safety_factor * ewma_service_micros_ * (1.0 + backlog);
+  return ewma_service_micros_ * (1.0 + backlog);
 }
 
 bool AdmissionController::Offer(QueuedQueryPtr query) {
@@ -86,7 +93,9 @@ bool AdmissionController::Offer(QueuedQueryPtr query) {
     ShedLocked(*query, "tenant queue full");
     return false;
   }
-  if (options_.shed_unmeetable && query->controls.has_deadline()) {
+  // A query whose deadline the queue wait + service estimate cannot meet is
+  // shed now instead of timing out mid-flight.
+  if (query->controls.has_deadline()) {
     const auto now = std::chrono::steady_clock::now();
     const double remaining_micros =
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -177,10 +186,10 @@ QueuedQueryPtr AdmissionController::Take() {
         continue;
       }
       if (!tenant->charged) {
-        tenant->deficit += options_.wdrr_quantum * tenant->spec.weight;
+        // One round's credit is the tenant's weight, in cost units.
+        tenant->deficit += tenant->spec.weight;
         // Cap so a long-idle-queue tenant cannot bank unbounded credit.
-        tenant->deficit = std::min(
-            tenant->deficit, 8.0 * options_.wdrr_quantum * tenant->spec.weight);
+        tenant->deficit = std::min(tenant->deficit, 8.0 * tenant->spec.weight);
         tenant->charged = true;
       }
       HETDB_CHECK(!tenant->queue.empty());
@@ -225,8 +234,8 @@ void AdmissionController::OnComplete(bool ok, int64_t service_micros) {
   // deadline, so this keeps the estimator able to probe.
   if (ok && service_micros > 0) {
     ewma_service_micros_ =
-        options_.ewma_alpha * static_cast<double>(service_micros) +
-        (1.0 - options_.ewma_alpha) * ewma_service_micros_;
+        kEwmaAlpha * static_cast<double>(service_micros) +
+        (1.0 - kEwmaAlpha) * ewma_service_micros_;
   }
   if (++completions_since_adjust_ >= options_.governor_period) {
     completions_since_adjust_ = 0;
@@ -240,13 +249,14 @@ void AdmissionController::AdjustLimitLocked() {
   if (!signals_) return;
   const GovernorSignals signals = signals_();
   const int before = limit_;
-  if (signals.breaker == DeviceCircuitBreaker::State::kOpen ||
-      signals.thrash == ThrashingDetector::State::kThrashing ||
-      signals.brownout_level >= 2) {
+  // Every input is ordered by severity; brownout L2 and above throttle like
+  // thrashing.
+  const int severity = std::max({static_cast<int>(signals.thrash),
+                                 static_cast<int>(signals.breaker),
+                                 std::min(signals.brownout_level, 2)});
+  if (severity == 2) {
     limit_ = std::max(options_.min_concurrency, limit_ / 2);
-  } else if (signals.breaker == DeviceCircuitBreaker::State::kHalfOpen ||
-             signals.thrash == ThrashingDetector::State::kPressure ||
-             signals.brownout_level >= 1) {
+  } else if (severity == 1) {
     limit_ = std::max(options_.min_concurrency, limit_ - 1);
   } else {
     limit_ = std::min(options_.max_concurrency, limit_ + 1);

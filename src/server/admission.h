@@ -63,22 +63,10 @@ struct AdmissionOptions {
   int min_concurrency = 1;
   int max_concurrency = 32;
   int initial_concurrency = 8;
-  /// WDRR quantum credited to a tenant per scheduling round, in cost units.
-  double wdrr_quantum = 1.0;
   /// Completions between governor adjustments (lower = more reactive).
   int governor_period = 4;
-  /// Shed queries whose deadline cannot be met by the queue-wait + service
-  /// estimate, instead of letting them time out mid-flight.
-  bool shed_unmeetable = true;
-  /// EWMA smoothing for the service-time estimate the shed test uses.
-  double ewma_alpha = 0.2;
   /// Bootstrap service-time estimate before any query completed.
   double initial_service_micros = 1000.0;
-  /// Multiplier on the estimated sojourn in the shed test. Values above 1
-  /// shed marginal queries that would finish right at the deadline edge;
-  /// under overload those edge admits tend to burn service and then miss
-  /// mid-flight, so a margin trades a higher shed rate for higher goodput.
-  double slo_safety_factor = 1.0;
 };
 
 /// Central admission controller of the serving front-end.
@@ -86,16 +74,17 @@ struct AdmissionOptions {
 /// Three cooperating mechanisms, all under one mutex:
 ///
 ///  * **Per-tenant fair queueing** — weighted deficit round-robin over
-///    per-tenant FIFO queues: each round a tenant's deficit grows by
-///    `quantum * weight` and it may dispatch queries until the deficit is
-///    spent, so a tenant flooding the front door cannot starve the others
-///    (its surplus just queues and eventually sheds against its own bound).
+///    per-tenant FIFO queues: each round a tenant's deficit grows by its
+///    weight and it may dispatch queries until the deficit is spent, so a
+///    tenant flooding the front door cannot starve the others (its surplus
+///    just queues and eventually sheds against its own bound).
 ///  * **Concurrency-limit governor** — an AIMD limit on queries in flight,
-///    steered by the thrashing detector and device circuit breaker: calm
-///    grows the limit by one, heap pressure (or a half-open breaker) shrinks
-///    it by one, thrashing or an open breaker halves it. This closes the
-///    paper's loop one level up: the detector that recognizes fig-2/fig-5
-///    collapse now throttles the *source* of the load.
+///    steered by one severity, the worst of the thrashing detector, the
+///    device circuit breaker and the brownout level (capped at 2): 0 grows
+///    the limit by one, 1 (heap pressure, a half-open breaker, L1) shrinks
+///    it by one, 2 (thrashing, an open breaker, L2+) halves it. This
+///    closes the paper's loop one level up: the detector that recognizes
+///    fig-2/fig-5 collapse now throttles the *source* of the load.
 ///  * **Load shedding** — a query is rejected at admission (promise settled
 ///    with ResourceExhausted, stats marked with the `shed` outcome) when its
 ///    tenant queue is full or when its QueryControls deadline cannot be met

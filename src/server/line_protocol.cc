@@ -110,9 +110,7 @@ std::string OneLine(std::string text) {
 
 }  // namespace
 
-LineProtocolServer::LineProtocolServer(Server* server,
-                                       LineProtocolOptions options)
-    : server_(server), options_(options) {
+LineProtocolServer::LineProtocolServer(Server* server) : server_(server) {
   HETDB_CHECK(server_ != nullptr);
 }
 
@@ -189,7 +187,7 @@ void LineProtocolServer::Serve(int fd) {
       }
       const Table& table = *result.value();
       const size_t total = table.num_rows();
-      const size_t sent = std::min(total, options_.max_result_rows);
+      const size_t sent = std::min(total, kMaxResultRows);
       std::string reply = "ROWS " + std::to_string(sent) + " " +
                           std::to_string(total) + " " +
                           std::to_string(table.num_columns()) + " " +

@@ -23,13 +23,6 @@ constexpr int64_t kMaxDeadlineMillis = 24 * 60 * 60 * 1000;
 /// else. The DEADLINE verb and `sql_shell`'s `\deadline` use it.
 std::optional<std::chrono::milliseconds> ParseDeadline(const std::string& text);
 
-/// Knobs for the text front door.
-struct LineProtocolOptions {
-  /// Result rows streamed back per query (the rest is summarized by the
-  /// ROWS header's total count).
-  size_t max_result_rows = 100;
-};
-
 /// Minimal line-oriented text protocol over a stream socket — the "front
 /// door" a remote client (or netcat) speaks to the serving layer. One
 /// request or response per '\n'-terminated line:
@@ -58,8 +51,11 @@ class LineProtocolServer {
  public:
   /// Longest request line (excluding its '\n') the server buffers.
   static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+  /// Result rows streamed back per query; the ROWS header's total count
+  /// summarizes the rest.
+  static constexpr size_t kMaxResultRows = 100;
 
-  explicit LineProtocolServer(Server* server, LineProtocolOptions options = {});
+  explicit LineProtocolServer(Server* server);
   ~LineProtocolServer();
 
   LineProtocolServer(const LineProtocolServer&) = delete;
@@ -82,7 +78,6 @@ class LineProtocolServer {
   void AcceptLoop();
 
   Server* const server_;
-  const LineProtocolOptions options_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<int> listen_fd_{-1};

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -15,37 +16,15 @@ int ResolveDispatchers(const ServerOptions& options) {
   return options.admission.max_concurrency;
 }
 
-/// Breaker severity for admission: open is worse than half-open is worse
-/// than closed. (The enum's numeric order is kClosed < kOpen < kHalfOpen,
-/// so std::max over raw values would rank half-open above open.)
-int BreakerSeverity(DeviceCircuitBreaker::State state) {
-  switch (state) {
-    case DeviceCircuitBreaker::State::kClosed:
-      return 0;
-    case DeviceCircuitBreaker::State::kHalfOpen:
-      return 1;
-    case DeviceCircuitBreaker::State::kOpen:
-      return 2;
-  }
-  return 0;
-}
-
 std::function<GovernorSignals()> MakeEngineSignals(EngineContext* ctx) {
   return [ctx] {
     // Admission throttles on the worst device: one thrashing or tripped
     // device is enough reason to slow intake, even if its siblings are calm.
+    // Both states are ordered by severity.
     GovernorSignals signals;
-    signals.thrash = ctx->detector(0).state();
-    signals.breaker = ctx->breaker(0).state();
-    for (int d = 1; d < ctx->device_count(); ++d) {
-      const ThrashingDetector::State thrash = ctx->detector(d).state();
-      if (static_cast<int>(thrash) > static_cast<int>(signals.thrash)) {
-        signals.thrash = thrash;  // calm < pressure < thrashing, in order
-      }
-      const DeviceCircuitBreaker::State breaker = ctx->breaker(d).state();
-      if (BreakerSeverity(breaker) > BreakerSeverity(signals.breaker)) {
-        signals.breaker = breaker;
-      }
+    for (int d = 0; d < ctx->device_count(); ++d) {
+      signals.thrash = std::max(signals.thrash, ctx->detector(d).state());
+      signals.breaker = std::max(signals.breaker, ctx->breaker(d).state());
     }
     signals.brownout_level = ctx->brownout().level_int();
     return signals;
@@ -128,7 +107,7 @@ void Server::DispatcherLoop() {
     const QueryStatsPtr stats = query->controls.stats;
     Result<TablePtr> result =
         runner_.RunQuery(query->plan, std::move(query->controls));
-    if (!result.ok() && options_.hedge_cpu_replay) {
+    if (!result.ok()) {
       // Hedge only engine-side deaths: a watchdog kill (fired through the
       // same cancel token a client would use — WasKilled disambiguates) or
       // a device-side abort that escaped the executor's own CPU fallback.

@@ -49,15 +49,14 @@ struct ServerOptions {
   /// device circuit breaker. Off = fixed limit (tests inject their own
   /// signals through AdmissionOptions instead).
   bool governor_follows_engine = true;
-  /// Hedged re-execution: a dispatched query that dies for an engine-side
-  /// reason (watchdog kill, device lost/aborted mid-query) is replayed once
-  /// on the CPU-only path before its future is settled — the client sees a
-  /// late answer instead of an infrastructure error. Client cancels and
-  /// shed queries are never hedged.
-  bool hedge_cpu_replay = true;
-  /// Wall-clock budget for one CPU replay, in milliseconds (0 = unbounded),
-  /// checked before each of the replay's operators: a replay that runs past
-  /// it returns Cancelled. The replay ignores the original deadline — by
+  /// Wall-clock budget of a hedge, in milliseconds (0 = unbounded). Hedged
+  /// re-execution is always on: a dispatched query that dies for an
+  /// engine-side reason (watchdog kill, device lost/aborted mid-query) is
+  /// replayed once on the CPU-only path before its future is settled — the
+  /// client sees a late answer instead of an infrastructure error. Client
+  /// cancels and shed queries are never hedged. The budget is checked before
+  /// each of the replay's operators: a replay that runs past it returns
+  /// Cancelled. The replay ignores the original deadline — by
   /// the time a hedge runs the SLO is already lost; the hedge is about
   /// availability, not latency.
   double hedge_budget_ms = 5000.0;

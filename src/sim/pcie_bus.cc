@@ -5,13 +5,10 @@
 
 namespace hetdb {
 
-Status PcieBus::Transfer(size_t bytes, TransferDirection direction,
-                         bool asynchronous) {
+Status PcieBus::Transfer(size_t bytes, TransferDirection direction) {
   if (bytes == 0) return Status::OK();
-  const double effective_mbps =
-      asynchronous ? bandwidth_mbps_ : bandwidth_mbps_ * sync_efficiency_;
   // bytes / (MB/s) == microseconds, since 1 MB/s == 1 byte/us.
-  double micros = static_cast<double>(bytes) / effective_mbps;
+  double micros = static_cast<double>(bytes) / bandwidth_mbps_;
   const int lane = Index(direction);
 
   FaultDecision fault;
@@ -65,7 +62,6 @@ Status PcieBus::Transfer(size_t bytes, TransferDirection direction,
   if (span.active()) {
     span.AddArg("bytes", static_cast<int64_t>(bytes));
     span.AddArg("modeled_us", static_cast<int64_t>(micros));
-    span.AddArg("mode", asynchronous ? "async" : "sync");
     if (fault.kind == FaultKind::kLatencySpike) {
       span.AddArg("latency_spike",
                   static_cast<int64_t>(fault.latency_factor));

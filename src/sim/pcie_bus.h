@@ -23,18 +23,16 @@ enum class TransferDirection { kHostToDevice = 0, kDeviceToHost = 1 };
 class PcieBus {
  public:
   /// `bandwidth_mbps` is the asynchronous (page-locked staging, CUDA-stream)
-  /// bandwidth; synchronous transfers run at `bandwidth_mbps *
-  /// sync_efficiency` (Section 2.5.3 of the paper). `fault_injector`
-  /// (optional) is consulted per transfer at the kTransfer site: it can slow
-  /// a transfer down (latency spike), fail it transiently (Unavailable), or
-  /// report the device gone (DeviceLost).
+  /// bandwidth of Section 2.5.3 of the paper; every transfer is modeled as
+  /// asynchronous. `fault_injector` (optional) is consulted per transfer at
+  /// the kTransfer site: it can slow a transfer down (latency spike), fail
+  /// it transiently (Unavailable), or report the device gone (DeviceLost).
   /// `device_id` identifies which device this link connects to the host;
   /// per-query transfer attribution carries it so QueryStats can keep a
   /// per-device breakdown.
-  PcieBus(double bandwidth_mbps, double sync_efficiency, SimClock* clock,
+  PcieBus(double bandwidth_mbps, SimClock* clock,
           FaultInjector* fault_injector = nullptr, int device_id = 0)
       : bandwidth_mbps_(bandwidth_mbps),
-        sync_efficiency_(sync_efficiency),
         clock_(clock),
         fault_injector_(fault_injector),
         device_id_(device_id) {}
@@ -47,8 +45,7 @@ class PcieBus {
   /// Returns non-OK only when the fault injector fails the transfer; a
   /// transiently failed transfer still charges half the modeled duration
   /// (the wasted partial copy) but counts no bytes as transferred.
-  Status Transfer(size_t bytes, TransferDirection direction,
-                  bool asynchronous = true);
+  Status Transfer(size_t bytes, TransferDirection direction);
 
   /// Transfers failed by the fault injector (per reporting/tests).
   uint64_t failed_transfers() const {
@@ -78,7 +75,6 @@ class PcieBus {
   }
 
   const double bandwidth_mbps_;
-  const double sync_efficiency_;
   SimClock* clock_;
   FaultInjector* fault_injector_;
   const int device_id_ = 0;

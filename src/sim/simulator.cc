@@ -30,8 +30,7 @@ Simulator::Simulator(const SystemConfig& config)
     device->heap = std::make_unique<DeviceAllocator>(
         config.device_heap_bytes(), device->fault_injector.get(), d);
     device->bus = std::make_unique<PcieBus>(
-        config.pcie_mbps, config.pcie_sync_efficiency, &clock_,
-        device->fault_injector.get(), d);
+        config.pcie_mbps, &clock_, device->fault_injector.get(), d);
     devices_.push_back(std::move(device));
   }
 }

@@ -13,6 +13,9 @@ namespace hetdb {
 
 namespace {
 
+/// Lineorder rows per scale-factor unit.
+constexpr int64_t kSsbLineorderRowsPerSf = 60000;
+
 // TPC-H / SSB geography: 5 regions x 5 nations x 10 cities.
 const char* const kRegions[5] = {"AFRICA", "AMERICA", "ASIA", "EUROPE",
                                  "MIDDLE EAST"};
@@ -88,8 +91,7 @@ const char* const kSsbSelectionColumns[8] = {
 SsbSizes ComputeSsbSizes(const SsbGeneratorOptions& options) {
   const double sf = std::max(options.scale_factor, 0.01);
   SsbSizes sizes;
-  sizes.lineorder =
-      static_cast<int64_t>(sf * options.lineorder_rows_per_sf);
+  sizes.lineorder = static_cast<int64_t>(sf * kSsbLineorderRowsPerSf);
   // Paper-scale SSB would be customer 30k*SF and supplier 2k*SF; dividing
   // those by our 1/100 data scale would leave fewer than one supplier per
   // city, emptying the flight-3/4 query results. Dimensions are therefore

@@ -22,8 +22,6 @@ namespace hetdb {
 struct SsbGeneratorOptions {
   double scale_factor = 1.0;
   uint64_t seed = 42;
-  /// Lineorder rows per scale-factor unit.
-  int64_t lineorder_rows_per_sf = 60000;
 };
 
 /// Row counts implied by the options (used by tests and Figure 16).

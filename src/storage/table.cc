@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include "common/logging.h"
+
 namespace hetdb {
 
 Status Table::AddColumn(ColumnPtr column) {
@@ -19,6 +21,11 @@ Status Table::AddColumn(ColumnPtr column) {
   column_index_[column->name()] = columns_.size();
   columns_.push_back(std::move(column));
   return Status::OK();
+}
+
+void Table::set_num_rows(size_t rows) {
+  HETDB_CHECK(columns_.empty());
+  num_rows_ = rows;
 }
 
 Result<ColumnPtr> Table::GetColumn(const std::string& name) const {

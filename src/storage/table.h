@@ -32,7 +32,13 @@ class Table {
 
   const std::vector<ColumnPtr>& columns() const { return columns_; }
   size_t num_columns() const { return columns_.size(); }
-  size_t num_rows() const { return columns_.empty() ? 0 : columns_[0]->num_rows(); }
+  size_t num_rows() const {
+    return columns_.empty() ? num_rows_ : columns_[0]->num_rows();
+  }
+  /// Gives a table without columns its row count: a scan that reads no
+  /// column (COUNT(*)), or a join that outputs none, still has rows. Once a
+  /// column is added, the columns' count holds.
+  void set_num_rows(size_t rows);
 
   /// Total bytes of all column data.
   size_t data_bytes() const;
@@ -46,6 +52,7 @@ class Table {
   std::string name_;
   std::vector<ColumnPtr> columns_;
   std::unordered_map<std::string, size_t> column_index_;
+  size_t num_rows_ = 0;  ///< while there is no column
 };
 
 using TablePtr = std::shared_ptr<Table>;

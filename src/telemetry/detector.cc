@@ -9,6 +9,20 @@
 
 namespace hetdb {
 
+namespace {
+
+/// Device heap in use / capacity at or above which the heap signal fires.
+constexpr double kHeapPressureThreshold = 0.9;
+/// Cache evictions per access at or above which the churn signal fires.
+constexpr double kEvictionChurnThreshold = 0.5;
+/// GPU aborts per GPU attempt at or above which the abort signal fires.
+constexpr double kAbortRatioThreshold = 0.25;
+/// Cumulative cache accesses before the churn signal may fire: the first
+/// loads of a working set always evict whatever was resident.
+constexpr int64_t kMinCacheAccesses = 4;
+
+}  // namespace
+
 const char* ThrashingDetector::StateName(State state) {
   switch (state) {
     case State::kCalm:
@@ -25,10 +39,11 @@ ThrashingDetector::ThrashingDetector(const Options& options,
                                      MetricRegistry* registry,
                                      FlightRecorder* recorder,
                                      std::string metric_prefix)
-    : options_(options),
-      registry_(registry),
+    : registry_(registry),
       recorder_(recorder),
-      metric_prefix_(std::move(metric_prefix)) {
+      metric_prefix_(std::move(metric_prefix)),
+      damping_(options.escalate_updates, options.calm_updates,
+               /*one_step_up=*/false) {
   if (registry_ != nullptr) {
     registry_->GetGauge(metric_prefix_ + "thrash.state").Set(0);
   }
@@ -39,7 +54,7 @@ ThrashingDetector::State ThrashingDetector::Update(const Sample& sample) {
   if (!has_previous_) {
     previous_ = sample;
     has_previous_ = true;
-    return state_;
+    return StateLocked();
   }
 
   const int64_t d_hits = sample.cache_hits - previous_.cache_hits;
@@ -66,19 +81,16 @@ ThrashingDetector::State ThrashingDetector::Update(const Sample& sample) {
     signals.abort_ratio =
         static_cast<double>(d_aborts) / static_cast<double>(d_attempts);
   }
-  signals.heap_signal = signals.heap_pressure >=
-                            options_.heap_pressure_threshold ||
-                        d_failed_allocs > 0;
+  signals.heap_signal =
+      signals.heap_pressure >= kHeapPressureThreshold || d_failed_allocs > 0;
   // Cold-start gate on *cumulative* accesses: per-window counts can be tiny
   // (the fig-2 workload touches one column per query), but churn across those
   // small windows is exactly the thrashing pattern to catch.
   const int64_t total_accesses = sample.cache_hits + sample.cache_misses;
-  signals.churn_signal = accesses > 0 &&
-                         total_accesses >= options_.min_cache_accesses &&
-                         signals.eviction_churn >=
-                             options_.eviction_churn_threshold;
+  signals.churn_signal = accesses > 0 && total_accesses >= kMinCacheAccesses &&
+                         signals.eviction_churn >= kEvictionChurnThreshold;
   signals.abort_signal =
-      d_attempts > 0 && signals.abort_ratio >= options_.abort_ratio_threshold;
+      d_attempts > 0 && signals.abort_ratio >= kAbortRatioThreshold;
   last_signals_ = signals;
 
   const int firing = (signals.heap_signal ? 1 : 0) +
@@ -91,32 +103,13 @@ ThrashingDetector::State ThrashingDetector::Update(const Sample& sample) {
     observed = State::kPressure;
   }
 
-  // Streak hysteresis: escalate only after `escalate_updates` consecutive
-  // windows at or above a higher state; de-escalate (one level at a time)
-  // only after `calm_updates` consecutive windows strictly below the
-  // current state.
-  if (observed > state_) {
-    calm_streak_ = 0;
-    if (++escalate_streak_ >= options_.escalate_updates) {
-      TransitionLocked(observed);
-      escalate_streak_ = 0;
-    }
-  } else if (observed < state_) {
-    escalate_streak_ = 0;
-    if (++calm_streak_ >= options_.calm_updates) {
-      TransitionLocked(static_cast<State>(static_cast<int>(state_) - 1));
-      calm_streak_ = 0;
-    }
-  } else {
-    escalate_streak_ = 0;
-    calm_streak_ = 0;
-  }
-  return state_;
+  const State prev = StateLocked();
+  if (damping_.Observe(static_cast<int>(observed))) TransitionLocked(prev);
+  return StateLocked();
 }
 
-void ThrashingDetector::TransitionLocked(State next) {
-  const State prev = state_;
-  state_ = next;
+void ThrashingDetector::TransitionLocked(State prev) {
+  const State next = StateLocked();
   ++transitions_;
   if (registry_ != nullptr) {
     registry_->GetGauge(metric_prefix_ + "thrash.state").Set(static_cast<int64_t>(next));
@@ -134,7 +127,7 @@ void ThrashingDetector::TransitionLocked(State next) {
 
 ThrashingDetector::State ThrashingDetector::state() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return state_;
+  return StateLocked();
 }
 
 ThrashingDetector::Signals ThrashingDetector::last_signals() const {
@@ -149,12 +142,10 @@ int64_t ThrashingDetector::transitions() const {
 
 void ThrashingDetector::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  state_ = State::kCalm;
+  damping_.Reset();
   has_previous_ = false;
   previous_ = Sample{};
   last_signals_ = Signals{};
-  escalate_streak_ = 0;
-  calm_streak_ = 0;
   if (registry_ != nullptr) {
     registry_->GetGauge(metric_prefix_ + "thrash.state").Set(0);
   }

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <string>
 
+#include "common/hysteresis.h"
+
 namespace hetdb {
 
 class FlightRecorder;
@@ -26,8 +28,9 @@ class MetricRegistry;
 ///   - abort ratio:      GPU operator aborts / GPU operator attempts
 ///
 /// Signal counts above thresholds map to a state — kCalm (0 signals),
-/// kPressure (1), kThrashing (>= 2 or abort storm) — with streak-based
-/// hysteresis so one noisy window cannot flip the state back and forth.
+/// kPressure (1), kThrashing (>= 2 or abort storm) — damped by the ladder's
+/// Hysteresis, rising straight to the observed state, so one noisy window
+/// cannot flip the state back and forth.
 /// State is published as the `thrash.state` gauge (its numeric value),
 /// `thrash.transitions` counter, a trace instant event, and a flight-recorder
 /// state transition, so EXPLAIN ANALYZE consumers, traces, and post-mortem
@@ -37,20 +40,10 @@ class ThrashingDetector {
   enum class State { kCalm = 0, kPressure = 1, kThrashing = 2 };
 
   struct Options {
-    /// Fraction of device heap in use above which the heap signal fires.
-    double heap_pressure_threshold = 0.9;
-    /// Cache evictions per access above which the churn signal fires.
-    double eviction_churn_threshold = 0.5;
-    /// GPU aborts per GPU attempt above which the abort signal fires.
-    double abort_ratio_threshold = 0.25;
     /// Consecutive qualifying windows before escalating the state.
     int escalate_updates = 2;
     /// Consecutive calm windows before de-escalating.
     int calm_updates = 3;
-    /// Suppress the churn signal until this many *cumulative* cache
-    /// accesses have been observed (cold start — the first loads of a
-    /// working set always evict whatever was resident).
-    int64_t min_cache_accesses = 4;
   };
 
   /// Cumulative engine counters at one observation point. The detector
@@ -101,20 +94,19 @@ class ThrashingDetector {
   static const char* StateName(State state);
 
  private:
-  void TransitionLocked(State next);
+  State StateLocked() const { return static_cast<State>(damping_.level()); }
+  /// Publishes the change from `prev` to the current state.
+  void TransitionLocked(State prev);
 
-  const Options options_;
   MetricRegistry* const registry_;
   FlightRecorder* const recorder_;
   const std::string metric_prefix_;
 
   mutable std::mutex mutex_;
-  State state_ = State::kCalm;
+  Hysteresis damping_;  ///< its level is the State
   Sample previous_{};
   bool has_previous_ = false;
   Signals last_signals_{};
-  int escalate_streak_ = 0;
-  int calm_streak_ = 0;
   int64_t transitions_ = 0;
 };
 

@@ -11,6 +11,9 @@ namespace hetdb {
 
 namespace {
 
+/// Orders per scale-factor unit; lineitem averages 4 rows per order.
+constexpr int64_t kTpchOrdersRowsPerSf = 15000;
+
 const char* const kRegions[5] = {"AFRICA", "AMERICA", "ASIA", "EUROPE",
                                  "MIDDLE EAST"};
 
@@ -73,8 +76,8 @@ TpchSizes ComputeTpchSizes(const TpchGeneratorOptions& options) {
   sizes.customer = std::max<int64_t>(30, static_cast<int64_t>(sf * 1500));
   sizes.part = std::max<int64_t>(40, static_cast<int64_t>(sf * 2000));
   sizes.partsupp = sizes.part * 4;
-  sizes.orders = std::max<int64_t>(50, static_cast<int64_t>(
-                                           sf * options.orders_rows_per_sf));
+  sizes.orders =
+      std::max<int64_t>(50, static_cast<int64_t>(sf * kTpchOrdersRowsPerSf));
   sizes.lineitem_max = sizes.orders * 7;
   return sizes;
 }

@@ -22,8 +22,6 @@ namespace hetdb {
 struct TpchGeneratorOptions {
   double scale_factor = 1.0;
   uint64_t seed = 1234;
-  /// Orders per scale-factor unit; lineitem averages 4 rows per order.
-  int64_t orders_rows_per_sf = 15000;
 };
 
 struct TpchSizes {

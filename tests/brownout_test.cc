@@ -9,17 +9,21 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/config.h"
+#include "common/rng.h"
 #include "fault/brownout.h"
 #include "fault/circuit_breaker.h"
 #include "fault/fault_injector.h"
 #include "fault/scenario.h"
 #include "fault/watchdog.h"
 #include "sim/simulator.h"
+#include "telemetry/detector.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/query_stats.h"
 #include "tests/test_util.h"
@@ -52,7 +56,7 @@ TEST(BrownoutTest, HysteresisNeedsAStreakBothWays) {
   // One noisy window must not flip the system.
   EXPECT_EQ(brownout.Update(pressure), BrownoutLevel::kL0);
   EXPECT_EQ(brownout.Update(pressure), BrownoutLevel::kL1);
-  EXPECT_EQ(brownout.DopCap(), FastBrownout().l1_dop_cap);
+  EXPECT_EQ(brownout.DopCap(), BrownoutController::kL1DopCap);
   EXPECT_FALSE(brownout.AllowMultiJoinFusion());
   EXPECT_TRUE(brownout.AllowCacheAdmission());  // that's an L2 restriction
   EXPECT_TRUE(brownout.DevicePlacementAllowed(0));
@@ -144,11 +148,142 @@ TEST(BrownoutTest, AdmissionProbeFeedsQueueAndShedSignals) {
   // Shallow queue: calm.
   EXPECT_EQ(brownout.Update(CalmSignals()), BrownoutLevel::kL0);
   // Deep queue alone (>= queue_depth_l1) is an L1 signal.
-  queued.store(options.queue_depth_l1);
+  queued.store(BrownoutController::kQueueDepthL1);
   EXPECT_EQ(brownout.Update(CalmSignals()), BrownoutLevel::kL1);
   brownout.SetAdmissionProbe(nullptr);  // probe gone: signal disappears
   EXPECT_EQ(brownout.Update(CalmSignals()), BrownoutLevel::kL1);
   EXPECT_EQ(brownout.Update(CalmSignals()), BrownoutLevel::kL0);
+}
+
+// ---------------------------------------------------------------------------
+// Ladder characterization
+// ---------------------------------------------------------------------------
+
+/// "<component> <from>><to>" for every state transition in the recorder.
+std::vector<std::string> Transitions(const FlightRecorder& recorder) {
+  std::vector<std::string> out;
+  for (const FlightRecord& record : recorder.Snapshot()) {
+    if (record.kind != FlightRecord::Kind::kStateTransition) continue;
+    out.push_back(record.name + " " + record.fields[0].second + ">" +
+                  record.fields[1].second);
+  }
+  return out;
+}
+
+/// One thrashing detector, one brownout controller (with an admission probe)
+/// and one breaker with default settings, fed 200 seeded windows the way
+/// EngineContext::NoteQueryFinished feeds them. Regimes of eight windows
+/// (calm .. storm) build streaks; a same-level ForceLevel every seventh
+/// window must keep the brownout's streaks, and a forced level and a
+/// detector Reset must clear them. The expected lists were recorded from the
+/// controllers' own streak counters, before the shared Hysteresis, and pin
+/// the damping rule that replaced them.
+TEST(LadderCharacterizationTest, SeededWindowsReplayTheRecordedTransitions) {
+  FlightRecorder recorder(4096);
+  ThrashingDetector detector(ThrashingDetector::Options(), nullptr, &recorder);
+  BrownoutController brownout(BrownoutController::Options(), 1, nullptr,
+                              &recorder);
+  DeviceCircuitBreaker::Options breaker_options;
+  breaker_options.cooldown_micros = 0;  // denial-counted cooldown only
+  DeviceCircuitBreaker breaker(breaker_options, nullptr, &recorder);
+  BrownoutAdmissionProbe admission;
+  brownout.SetAdmissionProbe([&admission] { return admission; });
+
+  Rng rng(0x1add3e);
+  ThrashingDetector::Sample sample;
+  sample.heap_capacity_bytes = 1000;
+  BrownoutSignals signals;
+  int regime = 0;  // 0 calm, 1 pressure, 2 thrashing, 3 storm
+  for (int window = 0; window < 200; ++window) {
+    if (window % 8 == 0) regime = static_cast<int>(rng.Uniform(0, 3));
+    const double abort_p = std::vector<double>{0.05, 0.2, 0.5, 0.9}[regime];
+    for (int64_t call = rng.Uniform(2, 10); call > 0; --call) {
+      if (!breaker.AllowDevice()) continue;
+      if (rng.NextBool(abort_p)) {
+        breaker.RecordDeviceAbort(regime == 3 && rng.NextBool(0.02));
+      } else {
+        breaker.RecordDeviceSuccess();
+      }
+    }
+
+    const int64_t misses = rng.Uniform(0, 2 + 2 * regime);
+    sample.cache_hits += rng.Uniform(0, 6);
+    sample.cache_misses += misses;
+    sample.cache_evictions += regime >= 2 ? misses : rng.Uniform(0, 1);
+    const int64_t attempts = rng.Uniform(4, 16);
+    sample.gpu_attempts += attempts;
+    sample.gpu_aborts += rng.Uniform(0, attempts * regime / 4);
+    sample.failed_allocations += regime == 3 && rng.NextBool(0.5) ? 1 : 0;
+    sample.heap_used_bytes = rng.Uniform(500, 880 + 40 * regime);
+    if (window == 160) detector.Reset();
+    const ThrashingDetector::State thrash = detector.Update(sample);
+
+    signals.worst_thrash_state = static_cast<int>(thrash);
+    signals.device_thrashing = {thrash == ThrashingDetector::State::kThrashing};
+    signals.any_breaker_open = !breaker.device_available();
+    signals.all_breakers_open = signals.any_breaker_open;
+    signals.any_breaker_half_open =
+        breaker.state() == DeviceCircuitBreaker::State::kHalfOpen;
+    signals.heap_pressure = static_cast<double>(sample.heap_used_bytes) /
+                            static_cast<double>(sample.heap_capacity_bytes);
+    signals.gpu_attempts = sample.gpu_attempts;
+    signals.gpu_aborts = sample.gpu_aborts;
+    admission.queued = static_cast<int>(rng.Uniform(0, 24 + 8 * regime));
+    admission.offered += 10;
+    admission.shed += static_cast<uint64_t>(rng.Uniform(0, regime));
+    if (window % 7 == 3) brownout.ForceLevel(brownout.level());
+    if (window == 100) brownout.ForceLevel(BrownoutLevel::kL2);
+    brownout.Update(signals);
+  }
+
+  const std::vector<std::string> expected = {
+      "thrash_detector calm>pressure", "brownout L0>L1",
+      "thrash_detector pressure>thrashing", "brownout L1>L2",
+      "thrash_detector thrashing>pressure", "thrash_detector pressure>calm",
+      "brownout L2>L1", "thrash_detector calm>thrashing", "brownout L1>L2",
+      "breaker closed>open", "brownout L2>L3", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "thrash_detector thrashing>pressure",
+      "breaker open>half_open", "breaker half_open>closed",
+      "thrash_detector pressure>calm", "brownout L3>L2", "brownout L2>L1",
+      "brownout L1>L0", "thrash_detector calm>thrashing", "brownout L0>L1",
+      "breaker closed>open", "brownout L1>L2", "breaker open>half_open",
+      "breaker half_open>open", "brownout L2>L3", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>open", "breaker open>half_open",
+      "breaker half_open>closed", "thrash_detector thrashing>pressure",
+      "brownout L3>L2", "thrash_detector pressure>calm", "brownout L2>L1",
+      "thrash_detector calm>pressure", "thrash_detector pressure>thrashing",
+      "breaker closed>open", "brownout L1>L2", "brownout L2>L3",
+      "breaker open>half_open", "breaker half_open>open",
+      "breaker open>half_open", "breaker half_open>closed",
+      "thrash_detector thrashing>pressure", "brownout L3>L2", "brownout L2>L1",
+      "thrash_detector pressure>thrashing", "brownout L1>L2",
+      "thrash_detector thrashing>pressure", "brownout L2>L1",
+      "thrash_detector pressure>calm", "thrash_detector calm>pressure",
+      "thrash_detector pressure>calm", "brownout L1>L0", "brownout L0>L1",
+      "thrash_detector calm>pressure", "thrash_detector pressure>calm",
+      "brownout L1>L0", "brownout L0>L1", "brownout L1>L0",
+      "thrash_detector calm>pressure", "breaker closed>open", "brownout L0>L1",
+      "thrash_detector pressure>thrashing", "breaker open>half_open",
+      "breaker half_open>open", "brownout L1>L2", "breaker open>half_open",
+      "breaker half_open>open", "brownout L2>L3", "breaker open>half_open",
+      "breaker half_open>closed", "brownout L3>L2", "brownout L2>L1",
+      "brownout L1>L0", "brownout L0>L1",
+  };
+  EXPECT_EQ(Transitions(recorder), expected);
+  EXPECT_EQ(breaker.trips(), 22u);
+  EXPECT_EQ(breaker.denials(), 352u);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,6 +537,30 @@ TEST(BreakerCooldownTest, ZeroFloorKeepsPureDenialCountedCooldown) {
   EXPECT_EQ(breaker.state(), DeviceCircuitBreaker::State::kOpen);
   for (int i = 0; i < 3; ++i) EXPECT_FALSE(breaker.AllowDevice());
   EXPECT_EQ(breaker.state(), DeviceCircuitBreaker::State::kHalfOpen);
+}
+
+TEST(BreakerStateGaugeTest, ReadsZeroOneTwoForClosedHalfOpenOpen) {
+  DeviceCircuitBreaker::Options options = TrippyBreaker();
+  options.cooldown_denials = 1;
+  options.cooldown_micros = 0;
+  MetricRegistry registry;
+  DeviceCircuitBreaker breaker(options, &registry);
+  Gauge& gauge = registry.GetGauge("breaker.state");
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(breaker.AllowDevice());
+    breaker.RecordDeviceAbort();
+  }
+  ASSERT_EQ(breaker.state(), DeviceCircuitBreaker::State::kOpen);
+  EXPECT_EQ(gauge.value(), 2);
+  EXPECT_FALSE(breaker.AllowDevice());  // the one cooldown denial
+  ASSERT_EQ(breaker.state(), DeviceCircuitBreaker::State::kHalfOpen);
+  EXPECT_EQ(gauge.value(), 1);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(breaker.AllowDevice());
+    breaker.RecordDeviceSuccess();
+  }
+  ASSERT_EQ(breaker.state(), DeviceCircuitBreaker::State::kClosed);
+  EXPECT_EQ(gauge.value(), 0);
 }
 
 // ---------------------------------------------------------------------------

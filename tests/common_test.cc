@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/config.h"
+#include "common/hysteresis.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -135,6 +136,73 @@ TEST(StopwatchTest, ElapsedIsMonotonic) {
   const int64_t t2 = watch.ElapsedMicros();
   EXPECT_GE(t2, t1);
   EXPECT_GE(t1, 0);
+}
+
+TEST(HysteresisTest, RisesToTheTargetOrOneLevelAfterAnEscalateStreak) {
+  Hysteresis straight(/*escalate=*/2, /*calm=*/3, /*one_step_up=*/false);
+  EXPECT_FALSE(straight.Observe(2));
+  EXPECT_TRUE(straight.Observe(2));  // second window above: to the target
+  EXPECT_EQ(straight.level(), 2);
+
+  Hysteresis stepwise(/*escalate=*/2, /*calm=*/3, /*one_step_up=*/true);
+  EXPECT_FALSE(stepwise.Observe(3));
+  EXPECT_TRUE(stepwise.Observe(3));
+  EXPECT_EQ(stepwise.level(), 1);  // one level at a time
+  EXPECT_FALSE(stepwise.Observe(3));  // the change cleared the streak
+  EXPECT_TRUE(stepwise.Observe(3));
+  EXPECT_EQ(stepwise.level(), 2);
+}
+
+TEST(HysteresisTest, AWindowAtTheLevelClearsBothStreaks) {
+  Hysteresis damping(/*escalate=*/2, /*calm=*/2, /*one_step_up=*/false);
+  damping.Observe(1);
+  damping.Observe(1);
+  ASSERT_EQ(damping.level(), 1);
+  EXPECT_FALSE(damping.Observe(2));  // escalate streak 1
+  EXPECT_FALSE(damping.Observe(1));  // at the level: cleared
+  EXPECT_FALSE(damping.Observe(2));  // escalate streak 1 again
+  EXPECT_EQ(damping.level(), 1);
+  EXPECT_FALSE(damping.Observe(0));  // calm streak 1
+  EXPECT_FALSE(damping.Observe(1));  // cleared
+  EXPECT_FALSE(damping.Observe(0));
+  EXPECT_EQ(damping.level(), 1);
+  // A window on the other side breaks a streak too.
+  EXPECT_FALSE(damping.Observe(2));
+  EXPECT_FALSE(damping.Observe(0));
+  EXPECT_FALSE(damping.Observe(2));
+  EXPECT_EQ(damping.level(), 1);
+}
+
+TEST(HysteresisTest, FallsOneLevelPerCalmStreak) {
+  Hysteresis damping(/*escalate=*/1, /*calm=*/3, /*one_step_up=*/false);
+  EXPECT_TRUE(damping.Observe(3));
+  for (int level = 3; level > 0; --level) {
+    EXPECT_FALSE(damping.Observe(0));
+    EXPECT_FALSE(damping.Observe(0));
+    EXPECT_TRUE(damping.Observe(0));
+    EXPECT_EQ(damping.level(), level - 1);
+  }
+  EXPECT_FALSE(damping.Observe(0));
+  EXPECT_EQ(damping.level(), 0);
+}
+
+TEST(HysteresisTest, SetToTheCurrentLevelKeepsTheStreaks) {
+  Hysteresis damping(/*escalate=*/2, /*calm=*/2, /*one_step_up=*/true);
+  EXPECT_FALSE(damping.Observe(1));  // escalate streak 1
+  EXPECT_FALSE(damping.Set(0));      // no change: the streak runs on
+  EXPECT_TRUE(damping.Observe(1));
+  EXPECT_EQ(damping.level(), 1);
+
+  EXPECT_FALSE(damping.Observe(0));  // calm streak 1
+  EXPECT_TRUE(damping.Set(2));       // a change clears it
+  EXPECT_FALSE(damping.Observe(1));
+  EXPECT_TRUE(damping.Observe(1));
+  EXPECT_EQ(damping.level(), 1);
+
+  damping.Observe(3);  // escalate streak 1
+  damping.Reset();
+  EXPECT_EQ(damping.level(), 0);
+  EXPECT_FALSE(damping.Observe(3));  // Reset cleared the streak
 }
 
 }  // namespace

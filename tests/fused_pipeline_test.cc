@@ -271,6 +271,62 @@ TEST_F(FusedPipelineTest, EmptySourceTable) {
   EXPECT_EQ(fused->num_rows(), 0u);
 }
 
+TEST_F(FusedPipelineTest, ZeroRowGlobalAggregateReturnsOneRow) {
+  // Every predicate fails, so the global aggregates see zero rows: with and
+  // without a join, each returns one row of zeros, fused and unfused.
+  auto none_pass = [this] {
+    return std::make_shared<SelectNode>(
+        ScanFact(), ConjunctiveFilter::And({Predicate::Gt("v", int64_t{500}),
+                                            Predicate::Lt("v", int64_t{400})}));
+  };
+  const std::vector<AggregateSpec> aggregates = {
+      {AggregateFn::kSum, "v", "sum_v"}, {AggregateFn::kMin, "v", "min_v"},
+      {AggregateFn::kMax, "v", "max_v"}, {AggregateFn::kAvg, "v", "avg_v"},
+      {AggregateFn::kCount, "", "n"}};
+  JoinOutputSpec spec;
+  spec.probe_columns = {"v"};
+  const PlanNodePtr plans[] = {
+      std::make_shared<AggregateNode>(none_pass(), std::vector<std::string>{},
+                                      aggregates),
+      std::make_shared<AggregateNode>(
+          std::make_shared<JoinNode>(ScanDim(), none_pass(), "key", "fk",
+                                     spec),
+          std::vector<std::string>{}, aggregates)};
+  for (const PlanNodePtr& plan : plans) {
+    ASSERT_EQ(CountFusedNodes(FusePipelines(plan)), 1u);
+    for (int threads : ThreadCounts()) {
+      TablePtr fused =
+          ExpectFusionParity(db_, plan, Strategy::kCpuOnly, threads);
+      ASSERT_NE(fused, nullptr);
+      ASSERT_EQ(fused->num_rows(), 1u) << "threads=" << threads;
+      for (const ColumnPtr& column : fused->columns()) {
+        if (column->type() == DataType::kDouble) {
+          EXPECT_EQ(ColumnCast<DoubleColumn>(*column).value(0), 0.0)
+              << column->name();
+        } else {
+          EXPECT_EQ(ColumnCast<Int64Column>(*column).value(0), 0)
+              << column->name();
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FusedPipelineTest, JoinThatOutputsNoColumnKeepsItsRowCount) {
+  // COUNT(*) over a join reads none of its columns: the fused and the
+  // unfused join both carry the match count in a table without columns.
+  PlanNodePtr join = std::make_shared<JoinNode>(
+      ScanDim(),
+      std::make_shared<SelectNode>(
+          ScanFact(), ConjunctiveFilter::And({Predicate::Lt("v", int64_t{60})})),
+      "key", "fk", JoinOutputSpec{});
+  ASSERT_EQ(CountFusedNodes(FusePipelines(join)), 1u);
+  TablePtr fused = ExpectFusionParity(db_, join, Strategy::kCpuOnly, 2);
+  ASSERT_NE(fused, nullptr);
+  EXPECT_EQ(fused->num_columns(), 0u);
+  EXPECT_GT(fused->num_rows(), 0u);
+}
+
 /// fact(fk, v, a, b): 500 rows probing keys (i % 20) * `stride`, with two
 /// int64 columns spanning the full int64 range. dim(key, weight): build
 /// keys 3,3,4,5,5,5,6,7 (times `stride`), so probe hits fan out and keys

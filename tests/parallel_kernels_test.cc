@@ -387,6 +387,28 @@ TEST(ParallelAggregateParity, EmptyInput) {
   ExpectAggregateParity(*empty, {"city"}, AllAggregates());
 }
 
+TEST(ParallelAggregateParity, ZeroRowGlobalAggregateReturnsOneRow) {
+  TablePtr empty = MakeFactTable(0, 26);
+  ExpectAggregateParity(*empty, {}, AllAggregates());
+  for (int threads : ThreadCounts()) {
+    DopScope scope(threads, kTestMorsel);
+    Result<TablePtr> out = Aggregate(*empty, {}, AllAggregates(), "agg");
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const Table& table = *out.value();
+    ASSERT_EQ(table.num_rows(), 1u) << "threads=" << threads;
+    // COUNT and SUM 0, and MIN/MAX/AVG 0: the engine has no NULL.
+    for (const ColumnPtr& column : table.columns()) {
+      if (column->type() == DataType::kDouble) {
+        EXPECT_EQ(ColumnCast<DoubleColumn>(*column).value(0), 0.0)
+            << column->name();
+      } else {
+        EXPECT_EQ(ColumnCast<Int64Column>(*column).value(0), 0)
+            << column->name();
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Morsel scheduler
 // ---------------------------------------------------------------------------

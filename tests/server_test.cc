@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/operator_executor.h"
 #include "fault/fault_injector.h"
 #include "server/admission.h"
 #include "server/line_protocol.h"
@@ -441,7 +442,7 @@ constexpr const char* kHedgeSql =
 /// A GPU Only server whose device has demand-cached every column of
 /// kHedgeSql, with every PCIe transfer failing transiently from then on: the
 /// next run of the query moves no byte but its result copy-back, which
-/// outlasts `transfer_retry_limit` and fails the query engine-side.
+/// outlasts `kTransferRetryLimit` and fails the query engine-side.
 class HedgeTest : public ::testing::Test {
  protected:
   void Start(SystemConfig config, double hedge_budget_ms) {
@@ -472,7 +473,7 @@ TEST_F(HedgeTest, EngineSideFailureIsReplayedOnTheCpu) {
   // The copy-back was the only transfer, and every attempt of it failed.
   EXPECT_EQ(ctx_->simulator().fault_injector().faults_injected(
                 FaultSite::kTransfer, FaultKind::kTransient),
-            static_cast<uint64_t>(1 + TestConfig().transfer_retry_limit));
+            static_cast<uint64_t>(1 + kTransferRetryLimit));
   EXPECT_EQ(server_->hedge_attempts(), 1u);
   EXPECT_EQ(server_->hedge_successes(), 1u);
 

@@ -185,7 +185,7 @@ TEST(SimClockTest, SimulationSleepsApproximatelyScaledTime) {
 
 TEST(PcieBusTest, AccountsBytesAndTimePerDirection) {
   SimClock clock(false, 1.0);
-  PcieBus bus(/*bandwidth_mbps=*/100, /*sync_efficiency=*/0.5, &clock);
+  PcieBus bus(/*bandwidth_mbps=*/100, &clock);
   bus.Transfer(1000, TransferDirection::kHostToDevice);
   bus.Transfer(500, TransferDirection::kDeviceToHost);
   EXPECT_EQ(bus.transferred_bytes(TransferDirection::kHostToDevice), 1000u);
@@ -198,16 +198,9 @@ TEST(PcieBusTest, AccountsBytesAndTimePerDirection) {
   EXPECT_EQ(bus.transferred_bytes(TransferDirection::kHostToDevice), 0u);
 }
 
-TEST(PcieBusTest, SynchronousTransfersArePenalized) {
-  SimClock clock(false, 1.0);
-  PcieBus bus(100, 0.5, &clock);
-  bus.Transfer(1000, TransferDirection::kHostToDevice, /*asynchronous=*/false);
-  EXPECT_EQ(bus.transfer_micros(TransferDirection::kHostToDevice), 20);
-}
-
 TEST(PcieBusTest, ZeroByteTransferIsFree) {
   SimClock clock(false, 1.0);
-  PcieBus bus(100, 0.5, &clock);
+  PcieBus bus(100, &clock);
   bus.Transfer(0, TransferDirection::kHostToDevice);
   EXPECT_EQ(bus.transfer_count(TransferDirection::kHostToDevice), 0u);
 }

@@ -8,6 +8,7 @@
 #include "engine/pipeline_builder.h"
 #include "operators/fused_pipeline.h"
 #include "placement/strategy_runner.h"
+#include "server/server.h"
 #include "sql/explain.h"
 #include "sql/lexer.h"
 #include "sql/planner.h"
@@ -529,6 +530,66 @@ TEST_F(SqlEndToEndTest, SameTableColumnEqualityIsResidualFilter) {
   }
   EXPECT_EQ(ColumnCast<Int64Column>(*result->GetColumn("n").value()).value(0),
             expected);
+}
+
+/// COUNT over a scan that reads no column carries the table's row count, and
+/// a global aggregate over zero rows returns one row of empty-group values,
+/// through PlanSql and through a Session, fused and unfused.
+TEST_F(SqlEndToEndTest, CountStarAndZeroRowGlobalAggregatesReturnOneRow) {
+  const auto rows =
+      static_cast<int64_t>(db_->GetTable("lineorder").value()->num_rows());
+  const std::pair<const char*, int64_t> counts[] = {
+      {"SELECT count(*) AS n FROM lineorder", rows},
+      {"SELECT count(lo_quantity) AS n FROM lineorder WHERE lo_quantity < 0",
+       0},
+      // Every lineorder row has its order date; the join outputs no column.
+      {"SELECT count(*) AS n FROM lineorder, date "
+       "WHERE lo_orderdate = d_datekey",
+       rows},
+  };
+  const char* empty_aggregates =
+      "SELECT sum(lo_revenue) AS s, min(lo_quantity) AS lo, "
+      "max(lo_extendedprice) AS hi, avg(lo_discount) AS a, count(*) AS n "
+      "FROM lineorder WHERE lo_quantity < 0";
+  auto expect_one_row_of = [](const Result<TablePtr>& result, int64_t value,
+                              const std::string& context) {
+    ASSERT_TRUE(result.ok()) << context << ": " << result.status();
+    const Table& table = *result.value();
+    ASSERT_EQ(table.num_rows(), 1u) << context;
+    for (const ColumnPtr& column : table.columns()) {
+      if (column->type() == DataType::kDouble) {
+        EXPECT_EQ(ColumnCast<DoubleColumn>(*column).value(0),
+                  static_cast<double>(value))
+            << context << " " << column->name();
+      } else {
+        EXPECT_EQ(ColumnCast<Int64Column>(*column).value(0), value)
+            << context << " " << column->name();
+      }
+    }
+  };
+  for (const bool fusion : {false, true}) {
+    SystemConfig config = TestConfig();
+    config.fusion = fusion;
+    EngineContext ctx(config, db_);
+    StrategyRunner runner(&ctx, Strategy::kDataDrivenChopping);
+    ServerOptions options;
+    options.dispatchers = 1;
+    Server server(&ctx, options);
+    SessionPtr session = server.OpenSession();
+    std::vector<std::pair<std::string, int64_t>> cases(std::begin(counts),
+                                                       std::end(counts));
+    cases.emplace_back(empty_aggregates, 0);
+    for (const auto& [sql, value] : cases) {
+      const std::string context =
+          sql + (fusion ? " (fusion on)" : " (fusion off)");
+      Result<PlanNodePtr> plan = PlanSql(sql, *db_);
+      ASSERT_TRUE(plan.ok()) << context << ": " << plan.status();
+      expect_one_row_of(runner.RunQuery(plan.value()), value,
+                        context + " via PlanSql");
+      expect_one_row_of(session->ExecuteSql(sql), value,
+                        context + " via a Session");
+    }
+  }
 }
 
 }  // namespace
