@@ -281,7 +281,8 @@ void DataCache::RemoveEntry(
 }
 
 void DataCache::RunPlacementJob(
-    const std::vector<std::pair<std::string, ColumnPtr>>& columns) {
+    const std::vector<std::pair<std::string, ColumnPtr>>& columns,
+    const std::vector<std::string>& first) {
   TraceSpan job_span;
   if (TraceRecorder::enabled()) {
     job_span.Begin("placement job", "cache");
@@ -304,6 +305,9 @@ void DataCache::RunPlacementJob(
                               b.second->last_access_seq();
                      });
   }
+  std::stable_partition(sorted.begin(), sorted.end(), [&](const auto& kv) {
+    return std::find(first.begin(), first.end(), kv.first) != first.end();
+  });
 
   std::vector<std::pair<std::string, ColumnPtr>> selected;
   size_t budget_used = 0;

@@ -140,9 +140,14 @@ class DataCache {
   /// The paper's Algorithm 1: given all candidate columns, selects the most
   /// frequently accessed prefix that fits the budget, evicts cached columns
   /// that fell out of the set, and transfers newly selected ones. Entries
-  /// cached by the job are pinned against demand eviction.
+  /// cached by the job are pinned against demand eviction. The candidates
+  /// named in `first` (the columns of the fused pipelines a data-driven
+  /// runner completes, placement/pipeline_cache.h) take the budget before
+  /// Algorithm 1's order fills the rest; with `first` empty the job is
+  /// Algorithm 1.
   void RunPlacementJob(
-      const std::vector<std::pair<std::string, ColumnPtr>>& columns);
+      const std::vector<std::pair<std::string, ColumnPtr>>& columns,
+      const std::vector<std::string>& first = {});
 
   /// Pins/unpins an entry manually (e.g. warm-up in benchmarks).
   Status Pin(const ColumnPtr& column, const std::string& key);

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "placement/runtime.h"
 
 namespace hetdb {
 
@@ -73,12 +74,8 @@ struct PlanCostEstimator {
       input_bytes = static_cast<double>(node->InputBytes({}));
       if (here == ProcessorKind::kGpu) {
         // Uncached base columns must cross the bus.
-        const auto& scan = static_cast<const ScanNode&>(*node);
-        size_t missing = 0;
-        for (const auto& [key, column] : scan.base_columns()) {
-          if (!ctx.IsCachedOnAnyDevice(key)) missing += column->data_bytes();
-        }
-        transfer_micros += ctx.simulator().EstimateTransferMicros(missing);
+        transfer_micros += ctx.simulator().EstimateTransferMicros(
+            UncachedScanBytes(static_cast<const ScanNode&>(*node), ctx));
       }
     }
     const double kernel_micros =

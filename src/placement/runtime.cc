@@ -17,16 +17,10 @@ std::vector<TablePtr> InputTables(const std::vector<OperatorResult*>& inputs) {
 size_t MissingInputBytes(const PlanNode& node,
                          const std::vector<OperatorResult*>& inputs,
                          EngineContext& ctx) {
-  size_t missing = 0;
   if (node.op() == PlanOp::kScan) {
-    const auto& scan = static_cast<const ScanNode&>(node);
-    for (const auto& [key, column] : scan.base_columns()) {
-      if (!ctx.IsCachedOnAnyDevice(key)) {
-        missing += ctx.cache().EntryBytes(*column);
-      }
-    }
-    return missing;
+    return UncachedScanBytes(static_cast<const ScanNode&>(node), ctx);
   }
+  size_t missing = 0;
   for (const OperatorResult* input : inputs) {
     if (input->location != ProcessorKind::kGpu) missing += input->table_bytes();
   }
@@ -34,6 +28,16 @@ size_t MissingInputBytes(const PlanNode& node,
 }
 
 }  // namespace
+
+size_t UncachedScanBytes(const ScanNode& scan, EngineContext& ctx) {
+  size_t missing = 0;
+  for (const auto& [key, column] : scan.base_columns()) {
+    if (!ctx.IsCachedOnAnyDevice(key)) {
+      missing += ctx.cache().EntryBytes(*column);
+    }
+  }
+  return missing;
+}
 
 size_t DeviceFootprint(const PlanNode& node,
                        const std::vector<OperatorResult*>& inputs,

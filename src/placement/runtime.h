@@ -7,6 +7,11 @@
 
 namespace hetdb {
 
+/// Bytes the data cache must move to bring `scan`'s columns that no device
+/// caches onto a device: their cache entries (`DataCache::EntryBytes`),
+/// bit-packed under `compress_device_cache`.
+size_t UncachedScanBytes(const ScanNode& scan, EngineContext& ctx);
+
 /// Upper bound on the device-heap bytes a device attempt of `node` over
 /// `inputs` allocates, given the data cache's contents now: the sum of the
 /// attempt's allocation phases (ExecuteOperator in

@@ -52,7 +52,7 @@ TEST(BrownoutTest, HysteresisNeedsAStreakBothWays) {
   EXPECT_TRUE(brownout.AllowMultiJoinFusion());
 
   BrownoutSignals pressure;
-  pressure.heap_pressure = 0.95;  // >= heap_l1, < heap_l2 -> target L1
+  pressure.heap_pressure = 0.95;  // >= kHeapL1, < kHeapL2 -> target L1
   // One noisy window must not flip the system.
   EXPECT_EQ(brownout.Update(pressure), BrownoutLevel::kL0);
   EXPECT_EQ(brownout.Update(pressure), BrownoutLevel::kL1);
@@ -147,7 +147,8 @@ TEST(BrownoutTest, AdmissionProbeFeedsQueueAndShedSignals) {
   });
   // Shallow queue: calm.
   EXPECT_EQ(brownout.Update(CalmSignals()), BrownoutLevel::kL0);
-  // Deep queue alone (>= queue_depth_l1) is an L1 signal.
+  // Deep queue alone (>= BrownoutController::kQueueDepthL1) is an L1
+  // signal.
   queued.store(BrownoutController::kQueueDepthL1);
   EXPECT_EQ(brownout.Update(CalmSignals()), BrownoutLevel::kL1);
   brownout.SetAdmissionProbe(nullptr);  // probe gone: signal disappears

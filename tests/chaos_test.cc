@@ -577,8 +577,9 @@ TEST(ChaosTest, BrownoutL3PinsGpuOnlyQueriesToTheCpu) {
   EXPECT_EQ(registry.GetCounter("breaker.short_circuits").value(), 0);
 }
 
-/// Brownout L1 caps a compile-time query's kernel DoP at `l1_dop_cap`, as it
-/// does on the chopping pools: the cap is part of the shared operator step.
+/// Brownout L1 caps a compile-time query's kernel DoP at
+/// `BrownoutController::kL1DopCap`, as it does on the chopping pools: the cap
+/// is part of the shared operator step.
 TEST(ChaosTest, BrownoutL1CapsGpuOnlyKernelDop) {
   // Four DoP tokens and 64-row morsels: uncapped kernels would use four
   // workers on any host.
