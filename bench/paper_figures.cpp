@@ -20,7 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "fault/scenario.h"
+#include "fault/fault_injector.h"
 #include "server/traffic.h"
 #include "ssb/ssb_generator.h"
 #include "ssb/ssb_queries.h"
@@ -982,19 +982,11 @@ void Fig25LatencyMatrix(Figure& fig) {
              Names(SsbQueries()), options, runs, /*p95=*/false);
 }
 
-/// The scripted failure timeline of Figure 26, in the scenario DSL so the
-/// figure also exercises the parser. Episodes are stepped manually at phase
-/// boundaries (start/duration fields are documentation here).
-const char* kChaosTimeline = R"(# fig26 chaos timeline (manually stepped)
-at 0.0s for 4.0s device-loss device=1 name=dev1_down
-at 0.0s for 4.0s latency-storm p=0.5 factor=8 name=pcie_storm
-at 0.0s for 4.0s heap-squeeze p=0.6 name=heap_squeeze
-)";
-
 // Availability under chaos (fig26): closed-loop SSB users (16; --sessions)
-// drive the serving front-end while a scripted chaos timeline walks the
-// machine through device loss, a PCIe/kernel latency storm, and a
-// device-heap squeeze, then lets it recover.
+// drive the serving front-end while the figure walks the machine through
+// device loss, a PCIe/kernel latency storm, and a device-heap squeeze, then
+// lets it recover. Each chaos phase arms the devices' own fault injectors
+// (DESIGN.md §8) and clears them when it ends.
 //
 // The point under test is *coordinated graceful degradation*: the brownout
 // controller steps its ladder (L0..L3) on the same signals the local
@@ -1002,8 +994,9 @@ at 0.0s for 4.0s heap-squeeze p=0.6 name=heap_squeeze
 // layer hedges engine-side deaths onto the CPU-only path, and the system
 // returns to L0 with its pre-episode tail latency once the chaos ends.
 // Reported per phase (--phase seconds each): goodput, not-served count,
-// p99, brownout level; plus a recovery summary (time back to L0 with a
-// baseline-comparable p99, stranded queries, leaked device heap).
+// p99, brownout level, the faults injected and the live devices while the
+// phase's faults were armed; plus a recovery summary (time back to L0 with
+// a baseline-comparable p99, stranded queries, leaked device heap).
 // Gate: scripts/check_bench.py --availability.
 void Fig26Availability(Figure& fig) {
   const BenchArgs& args = fig.args;
@@ -1033,24 +1026,6 @@ void Fig26Availability(Figure& fig) {
   server_options.admission.initial_concurrency = 8;
   Server server(&ctx, server_options);
 
-  // Chaos timeline + hooks mirroring device loss into the placement layer,
-  // exactly what an operator's device-loss runbook would do.
-  ChaosScenario scenario = ChaosScenario::Parse(kChaosTimeline).value();
-  ScenarioOrchestrator::Hooks hooks;
-  hooks.on_device_lost = [&](int device) {
-    ctx.sharding().MarkDeviceLost(device);
-    ctx.sharding().RebalanceAway(device, /*source_reachable=*/false);
-  };
-  hooks.on_device_restored = [&](int device) {
-    ctx.sharding().MarkDeviceRestored(device);
-  };
-  std::vector<FaultInjector*> injectors;
-  for (int d = 0; d < ctx.device_count(); ++d) {
-    injectors.push_back(&ctx.simulator().fault_injector(d));
-  }
-  ScenarioOrchestrator chaos(scenario, injectors, &ctx.telemetry().registry(),
-                             &ctx.flight_recorder(), hooks);
-
   // Warm cost models + data placement so the baseline phase measures a
   // trained engine (same protocol as the other serving benches).
   {
@@ -1077,12 +1052,24 @@ void Fig26Availability(Figure& fig) {
     int brownout_level = 0;
     uint64_t completed = 0;
   };
-  auto run_phase = [&](const std::string& name, double duration_s,
-                       int episode) {
+  Simulator& sim = ctx.simulator();
+  auto total_faults = [&] {
+    uint64_t faults = 0;
+    for (int d = 0; d < ctx.device_count(); ++d) {
+      faults += sim.fault_injector(d).total_faults();
+    }
+    return faults;
+  };
+  // Runs one phase with whatever faults are armed, then disarms them.
+  auto run_phase = [&](const std::string& name, double duration_s) {
     traffic.duration_s = duration_s;
-    if (episode >= 0) chaos.ApplyEpisode(static_cast<size_t>(episode));
+    const uint64_t faults_before = total_faults();
     const TrafficResult result = RunTraffic(server, {tenant}, traffic);
-    if (episode >= 0) chaos.EndEpisode(static_cast<size_t>(episode));
+    const uint64_t faults = total_faults() - faults_before;
+    const uint64_t live_devices = ctx.sharding().LiveDevices().size();
+    for (int d = 0; d < ctx.device_count(); ++d) {
+      sim.fault_injector(d).ClearAll();
+    }
     Phase phase{0, ctx.brownout().level_int(), result.completed};
     for (const TenantTrafficResult& tr : result.tenants) {
       phase.p99_ms = std::max(phase.p99_ms, tr.p99_ms);
@@ -1090,16 +1077,40 @@ void Fig26Availability(Figure& fig) {
     fig.report.Row({name, result.offered, result.goodput_qps, phase.p99_ms,
                     result.shed + result.missed + result.failed,
                     "L" + std::to_string(phase.brownout_level),
-                    server.hedge_attempts(), ctx.watchdog().fires()});
+                    server.hedge_attempts(), ctx.watchdog().fires(), faults,
+                    live_devices});
     return phase;
   };
 
   fig.report.Header({"phase", "offered", "goodput[qps]", "p99[ms]",
-                     "not_served", "brownout", "hedges", "wd_fires"});
-  const Phase baseline = run_phase("baseline", phase_s, -1);
-  run_phase("device_loss", phase_s, 0);
-  run_phase("latency_storm", phase_s, 1);
-  run_phase("heap_squeeze", phase_s, 2);
+                     "not_served", "brownout", "hedges", "wd_fires", "faults",
+                     "live_devices"});
+  const Phase baseline = run_phase("baseline", phase_s);
+
+  // Device 1 falls off the bus; placement routes around it, as an
+  // operator's device-loss runbook would.
+  constexpr int kLostDevice = 1;
+  sim.fault_injector(kLostDevice).ForceOffline(1 << 30);  // until ClearAll
+  ctx.sharding().MarkDeviceLost(kLostDevice);
+  ctx.sharding().RebalanceAway(kLostDevice, /*source_reachable=*/false);
+  run_phase("device_loss", phase_s);
+  ctx.sharding().MarkDeviceRestored(kLostDevice);
+
+  FaultSchedule storm =
+      FaultSchedule::WithProbability(FaultKind::kLatencySpike, 0.5);
+  storm.latency_factor = 8;
+  for (int d = 0; d < ctx.device_count(); ++d) {
+    sim.fault_injector(d).SetSchedule(FaultSite::kTransfer, storm);
+    sim.fault_injector(d).SetSchedule(FaultSite::kKernel, storm);
+  }
+  run_phase("latency_storm", phase_s);
+
+  for (int d = 0; d < ctx.device_count(); ++d) {
+    sim.fault_injector(d).SetSchedule(
+        FaultSite::kDeviceAlloc,
+        FaultSchedule::WithProbability(FaultKind::kHeapExhausted, 0.6));
+  }
+  run_phase("heap_squeeze", phase_s);
 
   // Recovery: probe in short windows until the ladder is back at L0 and the
   // p99 is comparable to the pre-episode baseline, or the window budget
@@ -1111,7 +1122,7 @@ void Fig26Availability(Figure& fig) {
   for (int window = 0; window < max_recovery_windows && !recovered;
        ++window) {
     const Phase probe = run_phase("recovery_" + std::to_string(window + 1),
-                                  recovery_window_s, -1);
+                                  recovery_window_s);
     recovery_time_s += recovery_window_s;
     const bool p99_ok = baseline.p99_ms <= 0 ||
                         probe.p99_ms <= recovery_p99_factor * baseline.p99_ms;

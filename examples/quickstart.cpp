@@ -67,7 +67,7 @@ int main() {
                 bus.transfer_micros(TransferDirection::kHostToDevice) / 1000.0,
                 bus.transfer_micros(TransferDirection::kDeviceToHost) / 1000.0,
                 static_cast<unsigned long long>(
-                    ctx.metrics().gpu_operator_aborts()),
+                    ctx.telemetry().gpu_operator_aborts()),
                 result.value()->num_rows());
   }
   return 0;

@@ -45,7 +45,12 @@ blackout; goodput is completed queries per second), the device-loss phase
 must keep at least --goodput-floor of the baseline's goodput, nothing may be
 stranded (watchdog still watching, device heap still held) after the drain,
 and the system must report recovery — back at brownout L0 with a
-baseline-comparable p99 — within --recovery-ceiling seconds.
+baseline-comparable p99 — within --recovery-ceiling seconds. It also checks
+that the chaos happened: the latency_storm and heap_squeeze phases must
+inject faults, the device_loss phase must run with one device fewer live
+(its faults may read 0: placement routes around the lost device), and the
+baseline and every recovery probe must run fault-free on every device. The
+device count is the most live devices any phase reports.
 
 Usage:
   scripts/check_bench.py fig26.json --availability
@@ -95,6 +100,7 @@ FIG17_MIN_GPU_SLOWDOWN = 1.2
 FIG14_MAX_DDC_OVER_CPU = 1.2
 FIG13_MIN_GPU_ONLY_ABORTS = 5
 FIG13_CHOPPING = ["Chopping", "Data-Driven Chopping"]
+AVAILABILITY_CHAOS_PHASES = ["device_loss", "latency_storm", "heap_squeeze"]
 
 
 def load_medians(path):
@@ -255,6 +261,38 @@ def check_scaleout(path, min_speedup):
     return 0
 
 
+def chaos_failures(phases):
+    """Why the fig26 phases do not show their chaos: a chaos phase that
+    injected no fault or lost no device, or a calm phase that did."""
+    failures = []
+    names = [phase.get("phase") for phase in phases]
+    for name in AVAILABILITY_CHAOS_PHASES:
+        if name not in names:
+            failures.append(f"no {name} phase in the artifact")
+    if any("faults" not in p or "live_devices" not in p for p in phases):
+        return failures + ["phases lack the faults/live_devices columns — "
+                           "the gate cannot see whether the chaos happened"]
+    devices = max(phase["live_devices"] for phase in phases)
+    for phase in phases:
+        name, faults = phase.get("phase", "?"), phase["faults"]
+        live = phase["live_devices"]
+        if name == "device_loss":
+            if live != devices - 1:
+                failures.append(
+                    f"device_loss ran with {live} of {devices} devices "
+                    f"live — want {devices - 1}")
+        elif name in AVAILABILITY_CHAOS_PHASES:
+            if faults <= 0:
+                failures.append(
+                    f"phase {name} injected no fault — its episode was "
+                    f"not armed")
+        elif faults != 0 or live != devices:
+            failures.append(
+                f"phase {name} ran with {faults} faults and {live} of "
+                f"{devices} devices live — want 0 and all")
+    return failures
+
+
 def check_availability(path, goodput_floor, recovery_ceiling):
     """Gate on a fig26_availability artifact: degrade, survive, recover."""
     tables = load_figure(path, "fig26_availability")
@@ -267,26 +305,26 @@ def check_availability(path, goodput_floor, recovery_ceiling):
 
     failures = []
     print(f"{'phase':<16}{'offered':>9}{'goodput':>9}{'p99_ms':>9}"
-          f"{'level':>7}")
+          f"{'level':>7}{'faults':>8}{'live':>6}")
     baseline = None
     for phase in phases:
         name = phase.get("phase", "?")
         goodput = phase.get("goodput[qps]", 0.0)
         print(f"{name:<16}{phase.get('offered', 0):>9}"
               f"{goodput:>9.2f}{phase.get('p99[ms]', 0.0):>9.1f}"
-              f"{phase.get('brownout', '?'):>7}")
+              f"{phase.get('brownout', '?'):>7}{phase.get('faults', '?'):>8}"
+              f"{phase.get('live_devices', '?'):>6}")
         if baseline is None:
             baseline = phase
         if goodput <= 0:
             failures.append(
                 f"phase {name}: zero goodput — graceful degradation must "
                 f"never black out the service")
+    failures += chaos_failures(phases)
 
     base_goodput = baseline.get("goodput[qps]", 0.0) if baseline else 0.0
     loss = next((p for p in phases if p.get("phase") == "device_loss"), None)
-    if loss is None:
-        failures.append("no device_loss phase in the artifact")
-    elif base_goodput > 0:
+    if loss is not None and base_goodput > 0:
         floor = goodput_floor * base_goodput
         if loss.get("goodput[qps]", 0.0) < floor:
             failures.append(
@@ -326,7 +364,8 @@ def check_availability(path, goodput_floor, recovery_ceiling):
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("OK: served through every chaos phase, recovered, nothing stranded")
+    print("OK: every chaos phase struck and was served through, recovered, "
+          "nothing stranded")
     return 0
 
 

@@ -77,18 +77,8 @@ struct SystemConfig {
   double d2d_mbps = 0.0;
 
   // --- Fault tolerance -----------------------------------------------------
-  // The retry limits are constants (engine/operator_executor.h).
-  /// Modeled backoff charged before device or transfer retry k (exponential:
-  /// 2^k * this many microseconds — the *ceiling* when jitter is on).
-  double device_retry_backoff_micros = 50.0;
-  /// Full jitter on the retry backoff: each retry sleeps a uniform random
-  /// fraction of the exponential ceiling instead of exactly the ceiling.
-  /// Without it, concurrent sessions that hit the same fault burst retry in
-  /// lockstep and collide again on the shared device. Draws come from a
-  /// per-Simulator RNG seeded with `retry_jitter_seed`, so runs are
-  /// reproducible under tests.
-  bool device_retry_jitter = true;
-  uint64_t retry_jitter_seed = 0x5eed'ba0full;
+  // The retry limits (engine/operator_executor.h) and the jittered retry
+  // backoff (Simulator::RetryBackoffMicros) are constants.
 
   // --- Simulation control --------------------------------------------------
   /// If false, the simulator performs all bookkeeping (allocations, byte

@@ -299,7 +299,7 @@ void ChoppingExecutor::PlaceTask(const QueryExecPtr& query, OpTask* task) {
       // No device admits work (breakers open or devices lost): the same
       // short-circuit ExecuteWithFallback would take, decided one layer
       // earlier — count it under the same metric.
-      ctx_->metrics()
+      ctx_->telemetry()
           .registry()
           .GetCounter("breaker.short_circuits")
           .Increment();
@@ -491,7 +491,7 @@ bool ChoppingExecutor::RunOperator(const QueryExecPtr& query, OpTask* task) {
     return false;
   }
   ctx_->watchdog().Deregister(query->query_id);
-  ctx_->metrics().RecordQueryDone();
+  ctx_->telemetry().RecordQueryDone();
   query->stats->MarkFinished(/*ok=*/true);
   ctx_->flight_recorder().RecordQuerySummary(query->query_id,
                                              query->stats->name(),

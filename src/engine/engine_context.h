@@ -120,9 +120,6 @@ class EngineContext {
   LoadTracker& load_tracker() { return *load_tracker_; }
   HypeScheduler& scheduler() { return *scheduler_; }
   Telemetry& telemetry() { return *telemetry_; }
-  /// Workload counters live on the telemetry bundle; `metrics()` remains as
-  /// the established spelling at the recording sites.
-  Telemetry& metrics() { return *telemetry_; }
   /// Abort-storm circuit breaker gating placement/execution on `device`.
   DeviceCircuitBreaker& breaker(int device = 0) {
     return *breakers_[static_cast<size_t>(device)];

@@ -83,7 +83,7 @@ Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
         ProcessorKind::kCpu, node.op_class(), input_bytes,
         kernel_watch.ElapsedMicros() / ctx.config().time_scale);
   }
-  ctx.metrics().RecordOperator(/*on_gpu=*/false);
+  ctx.telemetry().RecordOperator(/*on_gpu=*/false);
 
   OperatorResult result;
   result.table = std::move(output);
@@ -124,7 +124,7 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
   DeviceAllocator& heap = ctx.simulator().device_heap(device);
 
   auto abort_with = [&](const Status& status) -> Status {
-    ctx.metrics().RecordGpuAbort(abort_watch.ElapsedMicros(), device);
+    ctx.telemetry().RecordGpuAbort(abort_watch.ElapsedMicros(), device);
     return status;
   };
 
@@ -160,7 +160,7 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
     HETDB_ASSIGN_OR_RETURN(TablePtr output, node.ComputeResult({}));
     result.table = std::move(output);
     result.base_data = true;
-    ctx.metrics().RecordOperator(/*on_gpu=*/true, device);
+    ctx.telemetry().RecordOperator(/*on_gpu=*/true, device);
     return result;
   }
 
@@ -236,7 +236,7 @@ Result<OperatorResult> ExecuteOnGpu(const PlanNode& node,
   intermediates.Release();
 
   result.table = std::move(output);
-  ctx.metrics().RecordOperator(/*on_gpu=*/true, device);
+  ctx.telemetry().RecordOperator(/*on_gpu=*/true, device);
   return result;
 }
 
@@ -302,7 +302,7 @@ Result<ExecutedOperator> ExecuteWithFallback(
       // outcome. It does not wait for heap either: the operator may hold
       // its inputs' device results, and waiting while holding is the
       // deadlock of Section 2.5.1.
-      ctx.metrics().RecordHeapDecline(device);
+      ctx.telemetry().RecordHeapDecline(device);
       if (node_stats != nullptr) {
         node_stats->heap_declines.fetch_add(1, std::memory_order_relaxed);
       }
@@ -311,7 +311,10 @@ Result<ExecutedOperator> ExecuteWithFallback(
       // Breaker open: the device is aborting most operators right now, so
       // don't even start one — go straight to the CPU without paying the
       // wasted start-to-abort time of Figure 20.
-      ctx.metrics().registry().GetCounter("breaker.short_circuits").Increment();
+      ctx.telemetry()
+          .registry()
+          .GetCounter("breaker.short_circuits")
+          .Increment();
       processor = ProcessorKind::kCpu;
     } else {
       // Every iteration holds one breaker admission and reports exactly one
@@ -351,7 +354,7 @@ Result<ExecutedOperator> ExecuteWithFallback(
           const double backoff_micros =
               ctx.simulator().RetryBackoffMicros(attempt);
           ctx.simulator().clock().Charge(backoff_micros);
-          MetricRegistry& registry = ctx.metrics().registry();
+          MetricRegistry& registry = ctx.telemetry().registry();
           registry.GetCounter("engine.device_retries").Increment();
           registry.GetHistogram("engine.retry_backoff_us")
               .Record(static_cast<int64_t>(backoff_micros));
@@ -394,7 +397,10 @@ Status TransferWithRetry(size_t bytes, TransferDirection direction,
     }
     const double backoff_micros = ctx.simulator().RetryBackoffMicros(attempt);
     ctx.simulator().clock().Charge(backoff_micros);
-    ctx.metrics().registry().GetCounter("engine.transfer_retries").Increment();
+    ctx.telemetry()
+        .registry()
+        .GetCounter("engine.transfer_retries")
+        .Increment();
   }
 }
 

@@ -111,20 +111,18 @@ PlanNodePtr CloneWithChildren(const PlanNodePtr& node,
 
 }  // namespace
 
-PlanNodePtr FusePipelines(const PlanNodePtr& node, int max_fused_joins) {
+PlanNodePtr FusePipelines(const PlanNodePtr& node) {
   if (node == nullptr) return node;
 
   ChainInfo chain;
   if (CollectChain(node, &chain) &&
-      (max_fused_joins < 0 ||
-       chain.builds.size() <= static_cast<size_t>(max_fused_joins)) &&
       FusedPipelineNode::Binds(chain.members,
                                static_cast<const ScanNode&>(*chain.source))) {
     // The fused node's children are the source scan plus one (recursively
     // rewritten) build subtree per join, in bottom-up member order.
     std::vector<PlanNodePtr> children{chain.source};
     for (const PlanNodePtr& build : chain.builds) {
-      children.push_back(FusePipelines(build, max_fused_joins));
+      children.push_back(FusePipelines(build));
     }
     return std::make_shared<FusedPipelineNode>(std::move(children),
                                                std::move(chain.members));
@@ -134,7 +132,7 @@ PlanNodePtr FusePipelines(const PlanNodePtr& node, int max_fused_joins) {
   children.reserve(node->children().size());
   bool changed = false;
   for (const PlanNodePtr& child : node->children()) {
-    PlanNodePtr rewritten = FusePipelines(child, max_fused_joins);
+    PlanNodePtr rewritten = FusePipelines(child);
     changed = changed || rewritten != child;
     children.push_back(std::move(rewritten));
   }
@@ -142,9 +140,8 @@ PlanNodePtr FusePipelines(const PlanNodePtr& node, int max_fused_joins) {
   return CloneWithChildren(node, std::move(children));
 }
 
-PlanNodePtr OptimizePlan(const PlanNodePtr& root, const QueryStats* stats,
-                         int max_fused_joins) {
-  PlanNodePtr fused = FusePipelines(root, max_fused_joins);
+PlanNodePtr OptimizePlan(const PlanNodePtr& root, const QueryStats* stats) {
+  PlanNodePtr fused = FusePipelines(root);
   const bool stats_compatible = stats == nullptr || stats->nodes().empty() ||
                                 stats->Find(fused.get()) != nullptr;
   return stats_compatible ? fused : root;

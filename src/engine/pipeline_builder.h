@@ -23,30 +23,17 @@ namespace hetdb {
 /// The rewrite is structural only: it never changes results. Unchanged
 /// subtrees are returned as the same node objects, so running the pass on an
 /// already-fused plan is the identity (FusedPipeline nodes break chains).
-///
-/// `max_fused_joins` bounds the join members one fused pipeline may absorb
-/// (-1 = unlimited). A chain over the bound is declined whole; the recursion
-/// then fuses the shorter chains below it, if any. The brownout
-/// controller's L1 level uses `1` to disable *multi*-join fusion: deep fused
-/// pipelines hold every build table on-device at once, exactly the
-/// footprint to shed first under heap pressure. A chain needs two members,
-/// so where the lowest join sits directly on the scan the probe side has
-/// no shorter chain to fuse: L1 leaves SSB Q2.1-Q4.3 and TPC-H Q2 wholly
-/// unfused, and keeps a one-join pipeline only where a select sits between
-/// the scan and a join (SSB Q1.x; TPC-H Q3, Q4, Q5 and Q7).
-PlanNodePtr FusePipelines(const PlanNodePtr& root, int max_fused_joins = -1);
+PlanNodePtr FusePipelines(const PlanNodePtr& root);
 
 class QueryStats;
 
 /// FusePipelines, unless `stats` was already registered against a
 /// *different* plan: then the rewrite is declined and `root` is returned
 /// unchanged — adopting it would orphan the caller's per-node attribution.
-/// `max_fused_joins` passes through to FusePipelines. Whether to fuse at
-/// all, and the brownout cap, are the engine context's decision: the
-/// engine calls this only from StrategyRunner::Optimize.
+/// Whether to fuse at all is the engine context's decision: the engine
+/// calls this only from StrategyRunner::Optimize.
 PlanNodePtr OptimizePlan(const PlanNodePtr& root,
-                         const QueryStats* stats = nullptr,
-                         int max_fused_joins = -1);
+                         const QueryStats* stats = nullptr);
 
 }  // namespace hetdb
 

@@ -72,9 +72,8 @@ int BrownoutController::TargetLevelLocked(
       signals.heap_pressure >= kHeapL2 || abort_ratio >= kAbortRatioL2) {
     return 2;
   }
-  // Early pressure from any subsystem: shed load pre-emptively by trimming
-  // the footprint levers (DoP, multi-join fusion) before queries start
-  // aborting.
+  // Early pressure from any subsystem: shed load pre-emptively by capping
+  // the DoP before queries start aborting.
   if (signals.worst_thrash_state >= 1 || signals.any_breaker_half_open ||
       signals.heap_pressure >= kHeapL1 || abort_ratio >= kAbortRatioL1 ||
       admission.queued >= kQueueDepthL1 || shed_rate >= kShedRateL1) {
@@ -182,10 +181,6 @@ BrownoutLevel BrownoutController::Update(const BrownoutSignals& signals) {
 
 int BrownoutController::DopCap() const {
   return level_.load(std::memory_order_relaxed) >= 1 ? kL1DopCap : 0;
-}
-
-bool BrownoutController::AllowMultiJoinFusion() const {
-  return level_.load(std::memory_order_relaxed) < 1;
 }
 
 bool BrownoutController::AllowCacheAdmission() const {

@@ -19,10 +19,9 @@ namespace hetdb {
 /// lower level's restrictions and adds its own:
 ///
 ///   kL0 — normal operation; no restrictions.
-///   kL1 — cap intra-operator DoP (ScopedDopCap) and disable multi-join
-///         fusion: fused multi-join pipelines hold *all* build tables
-///         resident at once (the PR-8 ablation's worst case), exactly the
-///         footprint that deepens heap contention.
+///   kL1 — cap intra-operator DoP (ScopedDopCap). Fusion stays on:
+///         unfused plans materialize intermediates that raise the heap
+///         peak more than a fused pipeline's resident build tables do.
 ///   kL2 — device-cache admission restricted: misses still transfer but no
 ///         longer demand-insert, so the resident hot set stops churning; and
 ///         only *hot* query templates (seen >= hot_template_min_hits times)
@@ -76,15 +75,15 @@ struct BrownoutAdmissionProbe {
 /// survival mode, and recovery requires sustained calm.
 ///
 /// Escalation moves one level per decision so each restriction gets a
-/// window to take effect before the next is added (L1's fusion/DoP relief
-/// often clears the pressure that would otherwise have tripped L2).
+/// window to take effect before the next is added (L1's DoP relief often
+/// clears the pressure that would otherwise have tripped L2).
 ///
 /// Concurrency: `Update()` (one caller cadence, cheap) takes the internal
 /// mutex; every *policy read* — level(), DopCap(), AllowCacheAdmission(),
-/// DevicePlacementAllowed(), AllowMultiJoinFusion() — is a relaxed atomic
-/// load, so hot paths (admission under its own lock, per-morsel kernels,
-/// placement) never contend on this object and no lock ordering exists
-/// between the controller and its consumers.
+/// DevicePlacementAllowed() — is a relaxed atomic load, so hot paths
+/// (admission under its own lock, per-morsel kernels, placement) never
+/// contend on this object and no lock ordering exists between the
+/// controller and its consumers.
 class BrownoutController {
  public:
   struct Options {
@@ -123,8 +122,6 @@ class BrownoutController {
 
   /// DoP ceiling for query execution, 0 = uncapped (L0).
   int DopCap() const;
-  /// False at L1+: multi-join fused pipelines keep every build resident.
-  bool AllowMultiJoinFusion() const;
   /// False at L2+: cache misses stop demand-inserting.
   bool AllowCacheAdmission() const;
   /// Whether operators may be *placed* on `device` at all (false for every

@@ -69,9 +69,7 @@ Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,
 PlanNodePtr StrategyRunner::Optimize(const PlanNodePtr& root,
                                      const QueryStats* stats) const {
   if (!ctx_->config().fusion) return root;
-  const int max_fused_joins =
-      ctx_->brownout().AllowMultiJoinFusion() ? -1 : 1;
-  return OptimizePlan(root, stats, max_fused_joins);
+  return OptimizePlan(root, stats);
 }
 
 Result<TablePtr> StrategyRunner::RunQuery(const PlanNodePtr& root,

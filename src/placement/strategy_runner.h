@@ -39,10 +39,9 @@ class StrategyRunner {
   Result<TablePtr> RunQuery(const PlanNodePtr& root, QueryControls controls);
 
   /// The plan RunQuery executes for `root`: FusePipelines if the context's
-  /// `fusion` is on (DESIGN.md §11), capped at single-join chains under
-  /// brownout L1+ (a multi-join pipeline holds every build table on-device
-  /// at once). Returns `root` when `stats` holds nodes of another plan.
-  /// Idempotent, so Server::Submit and EXPLAIN may call it first.
+  /// `fusion` is on (DESIGN.md §11). Returns `root` when `stats` holds nodes
+  /// of another plan. Idempotent, so Server::Submit and EXPLAIN may call it
+  /// first.
   PlanNodePtr Optimize(const PlanNodePtr& root,
                        const QueryStats* stats = nullptr) const;
 

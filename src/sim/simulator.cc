@@ -19,7 +19,7 @@ Simulator::Simulator(const SystemConfig& config)
     : config_(config),
       clock_(config.simulate_time, config.time_scale),
       cpu_slots_(config.cpu_workers),
-      retry_rng_(config.retry_jitter_seed) {
+      retry_rng_(kRetryJitterSeed) {
   HETDB_CHECK(config.cpu_workers > 0);
   HETDB_CHECK(config.pcie_mbps > 0);
   HETDB_CHECK(config.device_count > 0);
@@ -37,8 +37,7 @@ Simulator::Simulator(const SystemConfig& config)
 
 double Simulator::RetryBackoffMicros(int attempt) {
   const double ceiling =
-      config_.device_retry_backoff_micros * static_cast<double>(1ull << attempt);
-  if (!config_.device_retry_jitter) return ceiling;
+      kRetryBackoffBaseMicros * static_cast<double>(1ull << attempt);
   std::lock_guard<std::mutex> lock(retry_rng_mutex_);
   return retry_rng_.NextDouble() * ceiling;
 }

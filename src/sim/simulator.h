@@ -123,13 +123,18 @@ class Simulator {
   /// on the destination's — each consulting that link's fault injector.
   Status TransferDeviceToDevice(size_t bytes, int from, int to);
 
+  /// Backoff ceiling of the first retry; retry k's ceiling is 2^k times it.
+  static constexpr double kRetryBackoffBaseMicros = 50.0;
+  /// Seed of the per-Simulator retry-jitter RNG.
+  static constexpr uint64_t kRetryJitterSeed = 0x5eed'ba0full;
+
   /// Modeled backoff before device/transfer retry `attempt` (0-based).
-  /// Exponential ceiling `device_retry_backoff_micros * 2^attempt`; with
-  /// `device_retry_jitter` each call draws uniformly in [0, ceiling) ("full
-  /// jitter") from a per-Simulator RNG seeded by `retry_jitter_seed`, so
-  /// concurrent sessions burned by one shared fault burst desynchronize
-  /// instead of retrying in lockstep, while any fixed (config, call order)
-  /// still reproduces bit-identical backoffs under tests.
+  /// Exponential ceiling `kRetryBackoffBaseMicros * 2^attempt`; each call
+  /// draws uniformly in [0, ceiling) ("full jitter") from a per-Simulator
+  /// RNG seeded by `kRetryJitterSeed`. Every session of one machine draws
+  /// from that one RNG, so sessions burned by one shared fault burst
+  /// desynchronize instead of retrying in lockstep, while any fixed call
+  /// order still reproduces bit-identical backoffs under tests.
   double RetryBackoffMicros(int attempt);
 
   /// Modeled kernel duration without executing it (for cost estimation).

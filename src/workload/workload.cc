@@ -153,11 +153,11 @@ WorkloadRunResult RunWorkload(StrategyRunner& runner,
     result.h2d_bytes += bus.transferred_bytes(TransferDirection::kHostToDevice);
     result.d2h_bytes += bus.transferred_bytes(TransferDirection::kDeviceToHost);
   }
-  result.gpu_aborts = ctx.metrics().gpu_operator_aborts();
-  result.wasted_millis = ctx.metrics().wasted_micros() / 1000.0;
-  result.cpu_operators = ctx.metrics().cpu_operators();
-  result.gpu_operators = ctx.metrics().gpu_operators();
-  result.queries_run = ctx.metrics().queries_completed();
+  result.gpu_aborts = ctx.telemetry().gpu_operator_aborts();
+  result.wasted_millis = ctx.telemetry().wasted_micros() / 1000.0;
+  result.cpu_operators = ctx.telemetry().cpu_operators();
+  result.gpu_operators = ctx.telemetry().gpu_operators();
+  result.queries_run = ctx.telemetry().queries_completed();
 
   for (const uint64_t failed : session_failed) {
     result.failed_queries += failed;

@@ -571,7 +571,7 @@ TEST(ChaosTest, BrownoutL3PinsGpuOnlyQueriesToTheCpu) {
   Result<TablePtr> result = runner.RunQuery(ChaosPlan("Q3.1"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(TablesEqual(*expected, *result.value()));
-  EXPECT_EQ(ctx.metrics().gpu_operators(), 0u);
+  EXPECT_EQ(ctx.telemetry().gpu_operators(), 0u);
   MetricRegistry& registry = ctx.telemetry().registry();
   EXPECT_GT(registry.GetCounter("brownout.cpu_pins").value(), 0);
   EXPECT_EQ(registry.GetCounter("breaker.short_circuits").value(), 0);

@@ -110,7 +110,7 @@ TEST_F(ExecutorTest, GpuScanAbortsWhenHeapAndCacheTooSmall) {
   auto result = ExecuteOperator(*scan, {}, ProcessorKind::kGpu, ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsResourceExhausted());
-  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 1u);
+  EXPECT_EQ(ctx.telemetry().gpu_operator_aborts(), 1u);
   EXPECT_EQ(ctx.simulator().device_heap().used(), 0u);  // rollback
   // No buffer, no transfer: the abort moved no byte over the bus.
   EXPECT_EQ(ctx.simulator().bus().transferred_bytes(
@@ -151,8 +151,8 @@ TEST_F(ExecutorTest, GpuScanBeyondFreeHeapDeclinesBeforeAnyTransfer) {
   EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
   EXPECT_FALSE(executed->aborted);
   EXPECT_EQ(executed->result.table->num_rows(), 1000u);
-  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
-  EXPECT_EQ(ctx.metrics().heap_declines(), 1u);
+  EXPECT_EQ(ctx.telemetry().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(ctx.telemetry().heap_declines(), 1u);
   EXPECT_EQ(ctx.simulator().bus().transferred_bytes(
                 TransferDirection::kHostToDevice),
             0u);
@@ -203,8 +203,8 @@ TEST_F(ExecutorTest, ColdScanThatFitsTheCacheRunsOnDeviceDespiteSmallHeap) {
   EXPECT_EQ(executed->result.cache_leases.size(), 2u);
   EXPECT_TRUE(ctx.cache().IsCached("fact.fk"));
   EXPECT_TRUE(ctx.cache().IsCached("fact.v"));
-  EXPECT_EQ(ctx.metrics().heap_declines(), 0u);
-  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(ctx.telemetry().heap_declines(), 0u);
+  EXPECT_EQ(ctx.telemetry().gpu_operator_aborts(), 0u);
   EXPECT_EQ(ctx.simulator().device_heap().peak_used(), 0u);
 }
 
@@ -271,9 +271,9 @@ TEST_F(SmallHeapSelectTest, DeclinesToCpuOutsidePaperMode) {
   EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
   EXPECT_FALSE(executed->aborted);
   EXPECT_TRUE(TablesEqual(*CpuReference(), *executed->result.table));
-  EXPECT_EQ(small_->metrics().gpu_operator_aborts(), 0u);
-  EXPECT_EQ(small_->metrics().heap_declines(), 1u);
-  EXPECT_EQ(small_->metrics().heap_declines(0), 1u);
+  EXPECT_EQ(small_->telemetry().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(small_->telemetry().heap_declines(), 1u);
+  EXPECT_EQ(small_->telemetry().heap_declines(0), 1u);
   EXPECT_EQ(small_->simulator().device_heap().failed_allocations(), 0u);
   EXPECT_EQ(BusBytes(), bus_bytes_before_);
   EXPECT_EQ(small_->simulator().device_heap().used(), 0u);
@@ -288,8 +288,8 @@ TEST_F(SmallHeapSelectTest, AbortsAndRestartsInPaperMode) {
   EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
   EXPECT_TRUE(executed->aborted);
   EXPECT_TRUE(TablesEqual(*CpuReference(), *executed->result.table));
-  EXPECT_EQ(small_->metrics().gpu_operator_aborts(), 1u);
-  EXPECT_EQ(small_->metrics().heap_declines(), 0u);
+  EXPECT_EQ(small_->telemetry().gpu_operator_aborts(), 1u);
+  EXPECT_EQ(small_->telemetry().heap_declines(), 0u);
   EXPECT_EQ(small_->simulator().device_heap().failed_allocations(), 1u);
   EXPECT_EQ(small_->simulator().device_heap().used(), 0u);
   // The attempt was the half-open probe, and its abort re-opened the breaker.
@@ -369,7 +369,7 @@ TEST_F(ExecutorTest, FallbackRestartsAbortedOperatorOnCpu) {
   ASSERT_TRUE(executed.ok());
   EXPECT_TRUE(executed->aborted);
   EXPECT_EQ(executed->ran_on, ProcessorKind::kCpu);
-  EXPECT_EQ(ctx_->metrics().gpu_operator_aborts(), 1u);
+  EXPECT_EQ(ctx_->telemetry().gpu_operator_aborts(), 1u);
   EXPECT_EQ(executed->result.table->num_rows(), 110u);  // v in [0,10) of i%97
 }
 
@@ -395,7 +395,7 @@ TEST_F(ExecutorTest, InlineExecutionRunsFullPlan) {
       executor.ExecuteInline(plan, MakeReplayPlacer(PlaceCpuOnly(plan)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()->num_rows(), 10u);
-  EXPECT_EQ(ctx_->metrics().queries_completed(), 1u);
+  EXPECT_EQ(ctx_->telemetry().queries_completed(), 1u);
 }
 
 TEST_F(ExecutorTest, AllPlacementsProduceIdenticalResults) {
@@ -421,7 +421,7 @@ TEST_F(ExecutorTest, CompileTimePlacementSurvivesAborts) {
   auto result =
       executor.ExecuteInline(plan, MakeReplayPlacer(PlaceGpuOnly(plan)));
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(ctx_->metrics().gpu_operator_aborts(), 0u);
+  EXPECT_GT(ctx_->telemetry().gpu_operator_aborts(), 0u);
   PlanNodePtr reference = SimplePlan();
   EngineContext clean_ctx(TestConfig(), db_);
   ChoppingExecutor clean(&clean_ctx);
@@ -500,7 +500,7 @@ TEST_F(ExecutorTest, ChoppingHandlesManyConcurrentQueries) {
       EXPECT_TRUE(TablesEqual(*first, *result.value()));
     }
   }
-  EXPECT_EQ(ctx_->metrics().queries_completed(), 16u);
+  EXPECT_EQ(ctx_->telemetry().queries_completed(), 16u);
 }
 
 TEST_F(ExecutorTest, ChoppingSurvivesAllocatorFailures) {
@@ -553,11 +553,11 @@ TEST_F(ExecutorTest, ConcurrentSelectionsDeclineInsteadOfAborting) {
   for (std::thread& thread : threads) thread.join();
   const DeviceAllocator& heap = ctx.simulator().device_heap();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+  EXPECT_EQ(ctx.telemetry().gpu_operator_aborts(), 0u);
   EXPECT_EQ(heap.failed_allocations(), 0u);
   EXPECT_LE(heap.peak_used(), heap.capacity());
   EXPECT_EQ(heap.used(), 0u);
-  EXPECT_EQ(ctx.metrics().queries_completed(),
+  EXPECT_EQ(ctx.telemetry().queries_completed(),
             static_cast<uint64_t>(kThreads * kQueriesPerThread));
 }
 

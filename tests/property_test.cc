@@ -429,7 +429,7 @@ TEST_P(FootprintBoundTest, DeviceFootprintBoundsEveryDeviceAllocation) {
         });
       }
     }
-    EXPECT_EQ(ctx.metrics().gpu_operator_aborts(), 0u);
+    EXPECT_EQ(ctx.telemetry().gpu_operator_aborts(), 0u);
   }
 }
 

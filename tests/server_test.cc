@@ -365,7 +365,7 @@ TEST_F(ServerTest, ShedAtAdmissionTouchesNoDeviceResources) {
   Server server(ctx_.get(), options);
   SessionPtr session = server.OpenSession("slo");
 
-  const uint64_t gpu_ops_before = ctx_->metrics().gpu_operators();
+  const uint64_t gpu_ops_before = ctx_->telemetry().gpu_operators();
   const uint64_t heap_allocs_before =
       ctx_->simulator().device_heap().failed_allocations();
 
@@ -387,7 +387,7 @@ TEST_F(ServerTest, ShedAtAdmissionTouchesNoDeviceResources) {
   EXPECT_TRUE(stats->finished());
   // Rejected before execution: no operator ran, no device activity, and all
   // node-level counters stayed untouched.
-  EXPECT_EQ(ctx_->metrics().gpu_operators(), gpu_ops_before);
+  EXPECT_EQ(ctx_->telemetry().gpu_operators(), gpu_ops_before);
   EXPECT_EQ(ctx_->simulator().device_heap().failed_allocations(),
             heap_allocs_before);
   for (const auto& node : stats->nodes()) {

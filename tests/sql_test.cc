@@ -354,10 +354,10 @@ TEST_F(SqlEndToEndTest, SsbSqlStreamsLineorderAndMatchesHandBuiltPlans) {
   }
 }
 
-/// The member counts of the fused nodes of FusePipelines(plan, cap), in
+/// The member counts of the fused nodes of FusePipelines(plan), in
 /// pre-order.
-std::vector<size_t> FusedShape(const PlanNodePtr& plan, int max_fused_joins) {
-  const PlanNodePtr fused = FusePipelines(plan, max_fused_joins);
+std::vector<size_t> FusedShape(const PlanNodePtr& plan) {
+  const PlanNodePtr fused = FusePipelines(plan);
   std::vector<const PlanNode*> pipelines;
   CollectOp(*fused, PlanOp::kFusedPipeline, &pipelines);
   std::vector<size_t> counts;
@@ -368,46 +368,34 @@ std::vector<size_t> FusedShape(const PlanNodePtr& plan, int max_fused_joins) {
   return counts;
 }
 
-/// Fused member counts with no join cap, then at brownout L1's cap of one.
-struct FusionShape {
-  std::vector<size_t> unlimited;
-  std::vector<size_t> one_join;
-};
-
-void ExpectFusionShape(const PlanNodePtr& plan, const FusionShape& expected) {
-  EXPECT_EQ(FusedShape(plan, -1), expected.unlimited) << RenderPlanTree(plan);
-  EXPECT_EQ(FusedShape(plan, 1), expected.one_join) << RenderPlanTree(plan);
-}
-
 // Which chains fuse in every benchmark plan. A change to the fusability
-// rule (FusedPipelineNode::Binds) that moves a decision shows here. The
-// one-join cap fuses nothing in SSB Q2.x-Q4.x or TPC-H Q2: their lowest
-// join sits directly on the scan, and a chain needs two members.
+// rule (FusedPipelineNode::Binds) that moves a decision shows here.
 TEST_F(SqlEndToEndTest, FusionDecisionsOnEveryBenchmarkPlan) {
-  auto ssb_shape = [](const std::string& name) -> FusionShape {
-    if (name.rfind("Q1.", 0) == 0) return {{4}, {4}};
-    if (name.rfind("Q4.", 0) == 0) return {{6}, {}};
-    return {{4}, {}};  // Q2.x and Q3.x
+  auto ssb_shape = [](const std::string& name) -> std::vector<size_t> {
+    if (name.rfind("Q4.", 0) == 0) return {6};
+    return {4};  // Q1.x, Q2.x and Q3.x
   };
   for (const NamedQuery& query : SsbQueries()) {
     SCOPED_TRACE("hand-built " + query.name);
     Result<PlanNodePtr> plan = query.builder(*db_);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    ExpectFusionShape(plan.value(), ssb_shape(query.name));
+    EXPECT_EQ(FusedShape(plan.value()), ssb_shape(query.name))
+        << RenderPlanTree(plan.value());
   }
   for (const auto& [name, sql] : kSsbSql) {
     SCOPED_TRACE(std::string("SQL ") + name);
     Result<PlanNodePtr> plan = PlanSql(sql, *db_);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    ExpectFusionShape(plan.value(), ssb_shape(name));
+    EXPECT_EQ(FusedShape(plan.value()), ssb_shape(name))
+        << RenderPlanTree(plan.value());
   }
 
   // TPC-H Q7 is the case a plan-time bind exists for: `select(nkdiff <> 0)`
   // filters a column a project computes, so the chains from the top down
   // to it are declined and the 4-member chain below it fuses.
-  const std::map<std::string, FusionShape> tpch_shapes = {
-      {"Q2", {{3, 3}, {}}}, {"Q3", {{3, 2}, {3, 2}}}, {"Q4", {{3}, {3}}},
-      {"Q5", {{3, 2}, {2}}}, {"Q6", {{3}, {3}}},    {"Q7", {{4}, {2}}}};
+  const std::map<std::string, std::vector<size_t>> tpch_shapes = {
+      {"Q2", {3, 3}}, {"Q3", {3, 2}}, {"Q4", {3}},
+      {"Q5", {3, 2}}, {"Q6", {3}}, {"Q7", {4}}};
   TpchGeneratorOptions options;
   options.scale_factor = 0.01;
   const DatabasePtr tpch = GenerateTpchDatabase(options);
@@ -417,7 +405,8 @@ TEST_F(SqlEndToEndTest, FusionDecisionsOnEveryBenchmarkPlan) {
     SCOPED_TRACE("TPC-H " + query.name);
     Result<PlanNodePtr> plan = query.builder(*tpch);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    ExpectFusionShape(plan.value(), tpch_shapes.at(query.name));
+    EXPECT_EQ(FusedShape(plan.value()), tpch_shapes.at(query.name))
+        << RenderPlanTree(plan.value());
   }
 }
 

@@ -147,9 +147,9 @@ TEST(StressTest, InjectedFailuresAreCountedAsAborts) {
   VisitPlanPostOrder(plan.value(), [&](const PlanNodePtr& node) {
     if (node->op() == PlanOp::kScan) ++scans;
   });
-  EXPECT_EQ(ctx.metrics().gpu_operator_aborts(),
+  EXPECT_EQ(ctx.telemetry().gpu_operator_aborts(),
             CountPlanNodes(plan.value()) - scans);
-  EXPECT_EQ(ctx.metrics().gpu_operators(), scans);
+  EXPECT_EQ(ctx.telemetry().gpu_operators(), scans);
 }
 
 }  // namespace
