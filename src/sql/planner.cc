@@ -1,9 +1,11 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
+#include "operators/kernels_internal.h"
 #include "sql/parser.h"
 
 namespace hetdb {
@@ -15,13 +17,78 @@ struct TableState {
   TablePtr table;
   ConjunctiveFilter filter;            // pushed-down single-table predicates
   std::set<std::string> needed;        // columns this table must provide
+  double share = 1.0;                  // fraction of rows `filter` keeps
   bool joined = false;
 };
 
-/// Rough output-size estimate used for greedy join ordering.
-double EstimatedRows(const TableState& state) {
-  const double selectivity = state.filter.empty() ? 1.0 : 0.1;
-  return static_cast<double>(state.table->num_rows()) * selectivity;
+/// The fraction of an integer column's [min, max] that `atom` keeps; 1 for
+/// an operator that is not a range.
+template <typename T>
+double IntegerShare(const T* values, size_t rows,
+                    const kernel_internal::CompiledAtom& atom) {
+  if (rows == 0) return 0.0;
+  const auto [min_it, max_it] = std::minmax_element(values, values + rows);
+  // Half-open [lo, hi) in doubles: no overflow at the int64 limits.
+  const double min = static_cast<double>(*min_it);
+  const double max = static_cast<double>(*max_it) + 1;
+  const double c = static_cast<double>(atom.ilo);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = -kInf, hi = kInf;
+  switch (atom.op) {
+    case CompareOp::kEq: lo = c; hi = c + 1; break;
+    case CompareOp::kLt: hi = c; break;
+    case CompareOp::kLe: hi = c + 1; break;
+    case CompareOp::kGt: lo = c + 1; break;
+    case CompareOp::kGe: lo = c; break;
+    case CompareOp::kBetween:
+      lo = c;
+      hi = static_cast<double>(atom.ihi) + 1;
+      break;
+    default: return 1.0;
+  }
+  return std::max(0.0, std::min(hi, max) - std::max(lo, min)) / (max - min);
+}
+
+/// The fraction of `table`'s rows that one atom keeps. String atoms take the
+/// code span the filter kernel lowers them to, over the dictionary size;
+/// integer atoms their value span over the column's range. Anything else,
+/// including an atom the kernel would reject, counts as 1.
+double AtomShare(const Table& table, const Predicate& atom) {
+  using Kind = kernel_internal::CompiledAtom::Kind;
+  Result<kernel_internal::CompiledAtom> compiled =
+      kernel_internal::CompileAtom(table, atom);
+  if (!compiled.ok()) return 1.0;
+  const kernel_internal::CompiledAtom& c = compiled.value();
+  const size_t rows = table.num_rows();
+  switch (c.kind) {
+    case Kind::kNoRows: return 0.0;
+    case Kind::kCodeEq:
+    case Kind::kCodeRange: {
+      const auto& column = static_cast<const StringColumn&>(
+          *table.GetColumn(atom.column).value());
+      const double entries = static_cast<double>(column.dictionary().size());
+      const double span =
+          c.kind == Kind::kCodeEq ? 1.0 : std::max(0, c.chi - c.clo);
+      return entries > 0 ? span / entries : 0.0;
+    }
+    case Kind::kInt32Cmp: return IntegerShare(c.i32, rows, c);
+    case Kind::kInt64Cmp: return IntegerShare(c.i64, rows, c);
+    default: return 1.0;
+  }
+}
+
+/// The fraction of `table`'s rows that `filter` keeps: conjuncts multiply,
+/// and a disjunction's atoms add, capped at 1.
+double FilterShare(const Table& table, const ConjunctiveFilter& filter) {
+  double share = 1.0;
+  for (const Disjunction& conjunct : filter.conjuncts) {
+    double any = 0.0;
+    for (const Predicate& atom : conjunct.atoms) {
+      any += AtomShare(table, atom);
+    }
+    share *= std::min(any, 1.0);
+  }
+  return share;
 }
 
 Predicate MakeComparePredicate(const SqlPredicate& predicate) {
@@ -78,8 +145,15 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
 
   // Output-producing columns. The kernels compute on numbers only, so
   // arithmetic, and every aggregate but COUNT, over a string column is an
-  // error here rather than a trap at run time.
+  // error here rather than a trap at run time. A plain column keeps its
+  // name: the plan has no rename, so an alias that differs is an error too.
   for (const SelectItem& item : statement.items) {
+    if (item.kind == SelectItem::Kind::kExpression &&
+        item.expr.IsPlainColumn() && item.OutputName() != item.expr.column) {
+      return Status::InvalidArgument("select item '" + item.OutputName() +
+                                     "' renames column '" + item.expr.column +
+                                     "'; only computed items take an alias");
+    }
     if (item.kind == SelectItem::Kind::kAggregate && item.expr.column.empty()) {
       continue;  // COUNT(*)
     }
@@ -165,14 +239,20 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
     return plan;
   };
 
-  // Greedy join order: start at the largest estimated table, the probe source
-  // that fusion streams, and repeatedly join the smallest table connected to
-  // the current result, so every hash table is built on the smaller input.
+  // Greedy join order: start at the table with the most rows, the probe
+  // source that fusion streams, and repeatedly join the connected table whose
+  // filter keeps the smallest share of its rows, so the fewest probe rows
+  // reach each later join. Equal shares keep the WHERE clause's order. The
+  // probe source's share is never estimated: it would read its values.
   std::string start;
   for (const auto& [name, state] : tables) {
-    if (start.empty() || EstimatedRows(state) > EstimatedRows(tables[start])) {
+    if (start.empty() ||
+        state.table->num_rows() > tables[start].table->num_rows()) {
       start = name;
     }
+  }
+  for (auto& [name, state] : tables) {
+    if (name != start) state.share = FilterShare(*state.table, state.filter);
   }
   PlanNodePtr current = build_subplan(tables[start]);
   tables[start].joined = true;
@@ -195,8 +275,7 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
       } else {
         continue;
       }
-      if (best_edge < 0 || EstimatedRows(tables[candidate]) <
-                               EstimatedRows(tables[best_table])) {
+      if (best_edge < 0 || tables[candidate].share < tables[best_table].share) {
         best_edge = static_cast<int>(e);
         best_table = candidate;
       }
@@ -306,7 +385,8 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
                     return item.kind == SelectItem::Kind::kAggregate;
                   });
 
-  if (has_aggregates || !statement.group_by.empty()) {
+  const bool grouped = has_aggregates || !statement.group_by.empty();
+  if (grouped) {
     // Non-aggregate output items must be grouping columns.
     for (const SelectItem& item : statement.items) {
       if (item.kind == SelectItem::Kind::kAggregate) continue;
@@ -390,6 +470,22 @@ Result<PlanNodePtr> PlanQuery(const SelectStatement& statement,
   }
 
   // --- 5. ORDER BY / LIMIT ----------------------------------------------------
+  // A sort key names an output column: a select item or, grouped, a GROUP BY
+  // column.
+  for (const SortKey& key : statement.order_by) {
+    const bool is_output =
+        std::any_of(statement.items.begin(), statement.items.end(),
+                    [&](const SelectItem& item) {
+                      return item.OutputName() == key.column;
+                    }) ||
+        (grouped && std::find(statement.group_by.begin(),
+                              statement.group_by.end(),
+                              key.column) != statement.group_by.end());
+    if (!is_output) {
+      return Status::InvalidArgument("ORDER BY key '" + key.column +
+                                     "' is not an output column");
+    }
+  }
   if (!statement.order_by.empty()) {
     current = std::make_shared<SortNode>(std::move(current),
                                          statement.order_by);

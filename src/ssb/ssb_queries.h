@@ -17,9 +17,10 @@ struct NamedQuery {
   std::function<Result<PlanNodePtr>(const Database& db)> builder;
 };
 
-/// All 13 SSB queries (Q1.1–Q4.3) as physical plan builders, following the
-/// O'Neil specification: flight 1 filters the fact table directly, flights
-/// 2–4 join 2–4 dimension tables with increasingly selective predicates.
+/// All 13 SSB queries (Q1.1–Q4.3), following the O'Neil specification:
+/// flight 1 filters the fact table directly, flights 2–4 join 2–4 dimension
+/// tables with increasingly selective predicates. Each builder plans the
+/// query's SQL text with PlanSql.
 std::vector<NamedQuery> SsbQueries();
 
 /// Looks up one SSB query by name ("Q1.1" ... "Q4.3").

@@ -208,99 +208,6 @@ TEST_F(SqlEndToEndTest, SingleTableAggregation) {
             n);
 }
 
-/// The 13 SSB queries as SQL text, in SsbQueries() order, each selecting the
-/// hand-built plan's output columns in the same order.
-const std::pair<const char*, const char*> kSsbSql[] = {
-    {"Q1.1",
-     "SELECT sum(lo_extendedprice * lo_discount) AS revenue "
-     "FROM lineorder, date WHERE lo_orderdate = d_datekey AND d_year = 1993 "
-     "AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25"},
-    {"Q1.2",
-     "SELECT sum(lo_extendedprice * lo_discount) AS revenue "
-     "FROM lineorder, date WHERE lo_orderdate = d_datekey "
-     "AND d_yearmonthnum = 199401 AND lo_discount BETWEEN 4 AND 6 "
-     "AND lo_quantity BETWEEN 26 AND 35"},
-    {"Q1.3",
-     "SELECT sum(lo_extendedprice * lo_discount) AS revenue "
-     "FROM lineorder, date WHERE lo_orderdate = d_datekey "
-     "AND d_weeknuminyear = 6 AND d_year = 1994 "
-     "AND lo_discount BETWEEN 5 AND 7 AND lo_quantity BETWEEN 26 AND 35"},
-    {"Q2.1",
-     "SELECT d_year, p_brand1, sum(lo_revenue) AS revenue "
-     "FROM lineorder, date, part, supplier WHERE lo_orderdate = d_datekey "
-     "AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey "
-     "AND p_category = 'MFGR#12' AND s_region = 'AMERICA' "
-     "GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1"},
-    {"Q2.2",
-     "SELECT d_year, p_brand1, sum(lo_revenue) AS revenue "
-     "FROM lineorder, date, part, supplier WHERE lo_orderdate = d_datekey "
-     "AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey "
-     "AND p_brand1 BETWEEN 'MFGR#2221' AND 'MFGR#2228' AND s_region = 'ASIA' "
-     "GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1"},
-    {"Q2.3",
-     "SELECT d_year, p_brand1, sum(lo_revenue) AS revenue "
-     "FROM lineorder, date, part, supplier WHERE lo_orderdate = d_datekey "
-     "AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey "
-     "AND p_brand1 = 'MFGR#2239' AND s_region = 'EUROPE' "
-     "GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1"},
-    {"Q3.1",
-     "SELECT c_nation, s_nation, d_year, sum(lo_revenue) AS revenue "
-     "FROM customer, lineorder, supplier, date WHERE lo_custkey = c_custkey "
-     "AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey "
-     "AND c_region = 'ASIA' AND s_region = 'ASIA' "
-     "AND d_year BETWEEN 1992 AND 1997 GROUP BY c_nation, s_nation, d_year "
-     "ORDER BY d_year ASC, revenue DESC"},
-    {"Q3.2",
-     "SELECT c_city, s_city, d_year, sum(lo_revenue) AS revenue "
-     "FROM customer, lineorder, supplier, date WHERE lo_custkey = c_custkey "
-     "AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey "
-     "AND c_nation = 'UNITED STATES' AND s_nation = 'UNITED STATES' "
-     "AND d_year BETWEEN 1992 AND 1997 GROUP BY c_city, s_city, d_year "
-     "ORDER BY d_year ASC, revenue DESC"},
-    {"Q3.3",
-     "SELECT c_city, s_city, d_year, sum(lo_revenue) AS revenue "
-     "FROM customer, lineorder, supplier, date WHERE lo_custkey = c_custkey "
-     "AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey "
-     "AND c_city IN ('UNITED KI1', 'UNITED KI5') "
-     "AND s_city IN ('UNITED KI1', 'UNITED KI5') "
-     "AND d_year BETWEEN 1992 AND 1997 GROUP BY c_city, s_city, d_year "
-     "ORDER BY d_year ASC, revenue DESC"},
-    {"Q3.4",
-     "SELECT c_city, s_city, d_year, sum(lo_revenue) AS revenue "
-     "FROM customer, lineorder, supplier, date WHERE lo_custkey = c_custkey "
-     "AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey "
-     "AND c_city IN ('UNITED KI1', 'UNITED KI5') "
-     "AND s_city IN ('UNITED KI1', 'UNITED KI5') AND d_yearmonth = 'Dec1997' "
-     "GROUP BY c_city, s_city, d_year ORDER BY d_year ASC, revenue DESC"},
-    {"Q4.1",
-     "SELECT d_year, c_nation, sum(lo_revenue - lo_supplycost) AS profit "
-     "FROM date, customer, supplier, part, lineorder "
-     "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
-     "AND lo_partkey = p_partkey AND lo_orderdate = d_datekey "
-     "AND c_region = 'AMERICA' AND s_region = 'AMERICA' "
-     "AND p_mfgr IN ('MFGR#1', 'MFGR#2') "
-     "GROUP BY d_year, c_nation ORDER BY d_year, c_nation"},
-    {"Q4.2",
-     "SELECT d_year, s_nation, p_category, "
-     "sum(lo_revenue - lo_supplycost) AS profit "
-     "FROM date, customer, supplier, part, lineorder "
-     "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
-     "AND lo_partkey = p_partkey AND lo_orderdate = d_datekey "
-     "AND c_region = 'AMERICA' AND s_region = 'AMERICA' "
-     "AND d_year IN (1997, 1998) AND p_mfgr IN ('MFGR#1', 'MFGR#2') "
-     "GROUP BY d_year, s_nation, p_category "
-     "ORDER BY d_year, s_nation, p_category"},
-    {"Q4.3",
-     "SELECT d_year, s_city, p_brand1, "
-     "sum(lo_revenue - lo_supplycost) AS profit "
-     "FROM date, customer, supplier, part, lineorder "
-     "WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey "
-     "AND lo_partkey = p_partkey AND lo_orderdate = d_datekey "
-     "AND c_region = 'AMERICA' AND s_nation = 'UNITED STATES' "
-     "AND d_year IN (1997, 1998) AND p_category = 'MFGR#14' "
-     "GROUP BY d_year, s_city, p_brand1 ORDER BY d_year, s_city, p_brand1"},
-};
-
 bool ScansLineorder(const PlanNode& node) {
   if (node.op() == PlanOp::kScan &&
       static_cast<const ScanNode&>(node).table()->name() == "lineorder") {
@@ -320,12 +227,38 @@ void CollectOp(const PlanNode& node, PlanOp op,
   }
 }
 
-TEST_F(SqlEndToEndTest, SsbSqlStreamsLineorderAndMatchesHandBuiltPlans) {
-  EngineContext ctx(TestConfig(), db_);
-  StrategyRunner cpu(&ctx, Strategy::kCpuOnly);
-  for (const auto& [name, sql] : kSsbSql) {
-    SCOPED_TRACE(name);
-    Result<PlanNodePtr> plan = PlanSql(sql, *db_);
+/// Per SSB query at SF 0.2: the digest of its result, and the summed rows
+/// out of its joins under the hand-built plans that preceded the SQL texts
+/// (fusion off, CPU Only).
+struct SsbPin {
+  const char* name;
+  Digest digest;
+  int64_t hand_built_join_rows;
+};
+const SsbPin kSsbPins[] = {
+    {"Q1.1", {1, 1, 0xf8cdaec9174bdd9aull}, 210},
+    {"Q1.2", {1, 1, 0xcd367c6ffd12fd53ull}, 5},
+    {"Q1.3", {1, 1, 0xd2c083ffc203b15aull}, 3},
+    {"Q2.1", {83, 3, 0x2832eee9dd77cdd3ull}, 745},
+    {"Q2.2", {17, 3, 0x68ac75923c41567dull}, 151},
+    {"Q2.3", {1, 3, 0xbca0e9cfdb80b1e9ull}, 26},
+    {"Q3.1", {142, 4, 0x6c931de05cbd6376ull}, 3429},
+    {"Q3.2", {5, 4, 0x352bc7b3bce0cfe2ull}, 444},
+    {"Q3.3", {0, 4, 0x0ull}, 79},
+    {"Q3.4", {0, 4, 0x0ull}, 79},
+    {"Q4.1", {32, 3, 0x14a06524ea8b9cf4ull}, 2966},
+    {"Q4.2", {35, 4, 0x73b9b4365d546025ull}, 2856},
+    {"Q4.3", {1, 4, 0xdbe7adc0a4504a42ull}, 2312},
+};
+
+TEST_F(SqlEndToEndTest, SsbQueriesStreamLineorderAndMatchPinnedDigests) {
+  const std::vector<NamedQuery> queries = SsbQueries();
+  ASSERT_EQ(queries.size(), std::size(kSsbPins));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const NamedQuery& query = queries[q];
+    SCOPED_TRACE(query.name);
+    ASSERT_EQ(query.name, kSsbPins[q].name);
+    Result<PlanNodePtr> plan = query.builder(*db_);
     ASSERT_TRUE(plan.ok()) << plan.status();
     // Every hash table is built on a dimension (a join's build side is
     // children()[0]); lineorder is the probe source the join chain streams.
@@ -342,15 +275,130 @@ TEST_F(SqlEndToEndTest, SsbSqlStreamsLineorderAndMatchesHandBuiltPlans) {
     ASSERT_EQ(pipelines.size(), 1u) << RenderPlanTree(fused);
     EXPECT_TRUE(ScansLineorder(*pipelines[0]->children()[0]));
 
-    TablePtr sql_result = Run(sql);
-    ASSERT_NE(sql_result, nullptr);
-    Result<NamedQuery> query = SsbQueryByName(name);
+    for (const Strategy strategy :
+         {Strategy::kCpuOnly, Strategy::kDataDrivenChopping}) {
+      EngineContext ctx(TestConfig(), db_);
+      StrategyRunner runner(&ctx, strategy);
+      Result<TablePtr> result = runner.RunQuery(query.builder(*db_).value());
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(DigestOf(*result.value()), kSsbPins[q].digest)
+          << StrategyToString(strategy);
+    }
+  }
+}
+
+/// The build-side tables of `plan`'s joins, in the order they join.
+std::vector<std::string> JoinOrder(const PlanNodePtr& plan) {
+  std::vector<const PlanNode*> joins;
+  CollectOp(*plan, PlanOp::kJoin, &joins);
+  std::vector<std::string> order;
+  for (auto it = joins.rbegin(); it != joins.rend(); ++it) {
+    std::vector<const PlanNode*> scans;
+    CollectOp(*(*it)->children()[0], PlanOp::kScan, &scans);
+    order.push_back(scans.empty() ? "?"
+                                  : static_cast<const ScanNode&>(*scans[0])
+                                        .table()
+                                        ->name());
+  }
+  return order;
+}
+
+// The planner's join order lets no SSB query carry more join rows than the
+// hand-built plan it replaced.
+TEST_F(SqlEndToEndTest, SsbJoinOrderCarriesNoMoreRowsThanHandBuiltPlans) {
+  SystemConfig config = TestConfig();
+  config.fusion = false;
+  EngineContext ctx(config, db_);
+  StrategyRunner cpu(&ctx, Strategy::kCpuOnly);
+  for (const SsbPin& pin : kSsbPins) {
+    SCOPED_TRACE(pin.name);
+    Result<NamedQuery> query = SsbQueryByName(pin.name);
     ASSERT_TRUE(query.ok());
-    Result<PlanNodePtr> hand_built = query->builder(*db_);
-    ASSERT_TRUE(hand_built.ok());
-    Result<TablePtr> reference = cpu.RunQuery(hand_built.value());
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    EXPECT_TRUE(TablesEqual(*sql_result, *reference.value()));
+    Result<PlanNodePtr> plan = query->builder(*db_);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    QueryStatsPtr stats = MakeQueryStats(plan.value());
+    ASSERT_TRUE(cpu.RunQuery(plan.value(), stats).ok());
+    int64_t join_rows = 0;
+    for (const auto& node : stats->nodes()) {
+      if (node->op == "join") join_rows += node->rows_out.load();
+    }
+    EXPECT_LE(join_rows, pin.hand_built_join_rows)
+        << RenderPlanTree(plan.value());
+  }
+}
+
+// Share rule cases on a star of ten-row dimensions `a` and `b` around a
+// 100-row fact table: the dimension whose filter keeps the smaller share of
+// its rows joins first.
+TEST(PlannerJoinOrderTest, SmallestShareJoinsFirst) {
+  auto db = std::make_shared<Database>();
+  auto fact = std::make_shared<Table>("fact");
+  std::vector<int32_t> fk_a(100), fk_b(100);
+  for (int i = 0; i < 100; ++i) {
+    fk_a[i] = i % 10 + 1;
+    fk_b[i] = i / 10 + 1;
+  }
+  ASSERT_TRUE(fact->AddColumn(std::make_shared<Int32Column>("fk_a", fk_a)).ok());
+  ASSERT_TRUE(fact->AddColumn(std::make_shared<Int32Column>("fk_b", fk_b)).ok());
+  ASSERT_TRUE(db->AddTable(fact).ok());
+  for (const std::string prefix : {"a", "b"}) {
+    auto dim = std::make_shared<Table>(prefix);
+    std::vector<int32_t> key(10);
+    std::vector<std::string> names;
+    for (int i = 0; i < 10; ++i) {
+      key[i] = i + 1;
+      names.push_back(std::string(1, prefix == "a" ? 'x' : 'y')
+                          .append(std::to_string(i)));
+    }
+    auto name = StringColumn::FromDictionary(prefix + "_name", names);
+    for (int i = 0; i < 10; ++i) name->AppendCode(i);
+    ASSERT_TRUE(
+        dim->AddColumn(std::make_shared<Int32Column>(prefix + "_key", key)).ok());
+    for (int32_t& k : key) k += 100;
+    ASSERT_TRUE(dim->AddColumn(
+        std::make_shared<Int32Column>(prefix + "_num", std::move(key))).ok());
+    ASSERT_TRUE(dim->AddColumn(std::move(name)).ok());
+    ASSERT_TRUE(db->AddTable(dim).ok());
+  }
+  // a_num and b_num run 101..110. Shares: = one entry of ten, IN k of ten.
+  // Each filter, with `b`'s join predicate first and then last in WHERE.
+  // Every case but the last makes `b` the smaller share, so it joins first
+  // either way; the last ties, so the first join predicate decides.
+  const std::pair<const char*, bool> cases[] = {
+      // string = (1/10) before an integer range (5/10)
+      {"b_name = 'y1' AND a_num <= 105", true},
+      // string IN: 2/10 before 3/10
+      {"b_name IN ('y1', 'y2') AND a_name IN ('x1', 'x2', 'x3')", true},
+      // string BETWEEN: a code span of 3/10 before 4/10
+      {"b_name BETWEEN 'y2' AND 'y4' AND a_name IN ('x1', 'x2', 'x3', 'x4')",
+       true},
+      // a literal not in the dictionary keeps nothing: share 0
+      {"b_name = 'nope' AND a_name = 'x1'", true},
+      // an integer range clipped to [101, 110]: 2/10, not 103/10
+      {"b_num BETWEEN 0 AND 102 AND a_name IN ('x1', 'x2', 'x3')", true},
+      // conjuncts multiply: 5/10 * 6/10 = 0.3 before 0.4
+      {"b_num <= 105 AND b_name IN ('y0', 'y1', 'y2', 'y3', 'y4', 'y5') "
+       "AND a_name IN ('x1', 'x2', 'x3', 'x4')",
+       true},
+      // equal shares keep the WHERE clause's order of the join predicates
+      {"a_name = 'x1' AND b_name = 'y1'", false},
+  };
+  for (const auto& [filter, b_smaller] : cases) {
+    for (const bool b_edge_first : {true, false}) {
+      const std::string sql =
+          std::string("SELECT count(*) AS n FROM fact, a, b WHERE ") +
+          (b_edge_first ? "fk_b = b_key AND fk_a = a_key AND "
+                        : "fk_a = a_key AND fk_b = b_key AND ") +
+          filter;
+      SCOPED_TRACE(sql);
+      Result<PlanNodePtr> plan = PlanSql(sql, *db);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      const std::vector<std::string> want =
+          b_smaller || b_edge_first ? std::vector<std::string>{"b", "a"}
+                                    : std::vector<std::string>{"a", "b"};
+      EXPECT_EQ(JoinOrder(plan.value()), want)
+          << RenderPlanTree(plan.value());
+    }
   }
 }
 
@@ -376,17 +424,10 @@ TEST_F(SqlEndToEndTest, FusionDecisionsOnEveryBenchmarkPlan) {
     return {4};  // Q1.x, Q2.x and Q3.x
   };
   for (const NamedQuery& query : SsbQueries()) {
-    SCOPED_TRACE("hand-built " + query.name);
+    SCOPED_TRACE("SSB " + query.name);
     Result<PlanNodePtr> plan = query.builder(*db_);
     ASSERT_TRUE(plan.ok()) << plan.status();
     EXPECT_EQ(FusedShape(plan.value()), ssb_shape(query.name))
-        << RenderPlanTree(plan.value());
-  }
-  for (const auto& [name, sql] : kSsbSql) {
-    SCOPED_TRACE(std::string("SQL ") + name);
-    Result<PlanNodePtr> plan = PlanSql(sql, *db_);
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    EXPECT_EQ(FusedShape(plan.value()), ssb_shape(name))
         << RenderPlanTree(plan.value());
   }
 
@@ -462,6 +503,22 @@ TEST_F(SqlEndToEndTest, PlannerErrors) {
     const Status status = PlanSql(prefix + literal, *db_).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
     EXPECT_NE(status.message().find(position), std::string::npos) << status;
+  }
+  // The plan has no rename, so an alias on a plain column is refused, as is
+  // an ORDER BY key the output does not carry; each names the item.
+  const std::pair<const char*, const char*> unplannable[] = {
+      {"SELECT d_year AS y FROM date LIMIT 1", "'y'"},
+      {"SELECT d_year AS y, count(*) AS n FROM date GROUP BY d_year "
+       "ORDER BY y",
+       "'y'"},
+      {"SELECT d_year FROM date ORDER BY d_month", "'d_month'"},
+  };
+  for (const auto& [sql, item] : unplannable) {
+    const Status status = PlanSql(sql, *db_).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << sql << ": " << status;
+    EXPECT_NE(status.message().find(item), std::string::npos)
+        << sql << ": " << status;
   }
   // Aggregates other than COUNT, arithmetic, and residual column equalities
   // over a string column would trap in a kernel; the planner refuses them.

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -136,6 +140,67 @@ inline void ExpectBitIdenticalTables(const TablePtr& ta,
       }
     }
   }
+}
+
+/// Row count, column count and an order-independent checksum over every
+/// value of a result table. Rows hash their values in column order; the
+/// checksum sums the row hashes, so plans that emit tied rows in another
+/// order still match. Integer widths are normalized, so a plan that widens
+/// a column to 64 bits digests like one that keeps it at 32.
+struct Digest {
+  size_t rows = 0;
+  size_t columns = 0;
+  uint64_t checksum = 0;
+  bool operator==(const Digest&) const = default;
+};
+
+inline std::ostream& operator<<(std::ostream& os, const Digest& digest) {
+  return os << "{" << digest.rows << ", " << digest.columns << ", 0x"
+            << std::hex << digest.checksum << std::dec << "ull}";
+}
+
+inline Digest DigestOf(const Table& table) {
+  auto mix = [](uint64_t x) {  // splitmix64 finalizer
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  auto hash_string = [](std::string_view text) {  // FNV-1a
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (char c : text) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+    return hash;
+  };
+  Digest digest{table.num_rows(), table.num_columns(), 0};
+  std::vector<uint64_t> row_hash(table.num_rows(), 0);
+  for (const ColumnPtr& column : table.columns()) {
+    for (size_t row = 0; row < row_hash.size(); ++row) {
+      uint64_t value = 0;
+      switch (column->type()) {
+        case DataType::kInt32:
+          value = static_cast<uint64_t>(static_cast<int64_t>(
+              ColumnCast<Int32Column>(*column).value(row)));
+          break;
+        case DataType::kInt64:
+          value = static_cast<uint64_t>(
+              ColumnCast<Int64Column>(*column).value(row));
+          break;
+        case DataType::kDouble:
+          value = std::bit_cast<uint64_t>(
+              ColumnCast<DoubleColumn>(*column).value(row));
+          break;
+        case DataType::kString:
+          value = hash_string(ColumnCast<StringColumn>(*column).value(row));
+          break;
+      }
+      row_hash[row] = mix(row_hash[row] ^ value);
+    }
+  }
+  for (uint64_t hash : row_hash) digest.checksum += mix(hash);
+  return digest;
 }
 
 /// DoPs the parity suites sweep: serial, even, odd, and the whole host.
