@@ -27,9 +27,10 @@
 namespace hetdb {
 
 /// One fused pipeline's standing demand on the data caches. Under the
-/// data-driven rule a pipeline runs on the device only if every column it
-/// reads is cached, so the data-driven runners' placement job completes the
-/// pipelines worth most per cache byte (placement/pipeline_cache.h).
+/// data-driven rule a pipeline runs on the device only if every column its
+/// source reads is cached, and a build side only if its own columns are, so
+/// the data-driven runners' placement job completes the pipelines worth most
+/// per cache byte (placement/pipeline_cache.h).
 struct PipelineDemand {
   std::vector<std::string> keys;  ///< base-column cache keys read, sorted
   uint64_t runs = 0;              ///< how often it ran

@@ -27,6 +27,37 @@ size_t MissingInputBytes(const PlanNode& node,
   return missing;
 }
 
+/// Outside paper mode, whether a non-scan `node` whose host-resident inputs
+/// are all intermediates finishes sooner on the device, shipping them over
+/// PCIe, than on an idle CPU, copying back its device-held intermediates.
+/// Analytical estimates only: no queue load and no learned model enter.
+bool ShippingIntermediatesPays(const PlanNode& node,
+                               const std::vector<OperatorResult*>& inputs,
+                               EngineContext& ctx) {
+  if (ctx.config().paper_mode || node.op() == PlanOp::kScan) return false;
+  size_t to_device = 0;
+  size_t to_host = 0;
+  for (const OperatorResult* input : inputs) {
+    const bool on_device = input->location == ProcessorKind::kGpu;
+    if (input->base_data) {
+      // Base columns cross PCIe only through the placement job.
+      if (!on_device) return false;
+    } else {
+      (on_device ? to_host : to_device) += input->table_bytes();
+    }
+  }
+  const Simulator& sim = ctx.simulator();
+  const size_t bytes = node.InputBytes(InputTables(inputs));
+  const double device =
+      sim.EstimateComputeMicros(ProcessorKind::kGpu, node.op_class(), bytes) +
+      sim.EstimateTransferMicros(to_device);
+  const double cpu =
+      sim.EstimateComputeMicros(ProcessorKind::kCpu, node.op_class(), bytes) /
+          ctx.config().cpu_workers +
+      sim.EstimateTransferMicros(to_host);
+  return device < cpu;
+}
+
 }  // namespace
 
 size_t UncachedScanBytes(const ScanNode& scan, EngineContext& ctx) {
@@ -82,7 +113,10 @@ RuntimePlacer MakeDataDrivenPlacer() {
   return [](const PlanNode& node, const std::vector<OperatorResult*>& inputs,
             EngineContext& ctx) -> ProcessorKind {
     if (!ctx.AnyDeviceAvailable()) return ProcessorKind::kCpu;
-    if (MissingInputBytes(node, inputs, ctx) > 0) return ProcessorKind::kCpu;
+    if (MissingInputBytes(node, inputs, ctx) > 0 &&
+        !ShippingIntermediatesPays(node, inputs, ctx)) {
+      return ProcessorKind::kCpu;
+    }
     if (DeviceFootprint(node, inputs, ctx) >
         ctx.simulator().device_heap().capacity()) {
       return ProcessorKind::kCpu;

@@ -37,10 +37,18 @@ RuntimePlacer MakeHypePlacer();
 
 /// Data-driven run-time placement (Section 5.4): scans go to the device iff
 /// all their input columns are cached there; other operators go to the
-/// device iff every input is device-resident. The one departure from that
-/// rule is the heap veto shared with MakeHypePlacer: an operator whose
-/// DeviceFootprint exceeds the device heap cannot fit, so it goes to the
-/// CPU. After an abort the restarted operator's output is host-resident, so
+/// device iff every input is device-resident. Two departures from that rule:
+///  * the heap veto shared with MakeHypePlacer: an operator whose
+///    DeviceFootprint exceeds the device heap cannot fit, so it goes to the
+///    CPU;
+///  * outside paper mode, a non-scan operator whose host-resident inputs are
+///    all intermediates goes to the device when its modeled device time plus
+///    their host-to-device transfer is below its modeled time on every CPU
+///    slot plus the copy-back of its device-held intermediates. A
+///    host-resident base-data input still keeps it on the CPU. With PCIe
+///    slower than the CPU slots together, a single-input operator never
+///    passes this test.
+/// After an abort the restarted operator's output is host-resident, so
 /// successors fall back to the CPU automatically.
 RuntimePlacer MakeDataDrivenPlacer();
 

@@ -1,7 +1,9 @@
 #include "ssb/ssb_queries.h"
 
+#include <memory>
 #include <utility>
 
+#include "sql/parser.h"
 #include "sql/planner.h"
 
 namespace hetdb {
@@ -108,9 +110,14 @@ constexpr std::pair<const char*, const char*> kSsbSql[] = {
 std::vector<NamedQuery> SsbQueries() {
   std::vector<NamedQuery> queries;
   for (const auto& [name, text] : kSsbSql) {
-    const char* sql = text;
+    // Parsed once here; every builder call plans the shared statement.
+    auto statement =
+        std::make_shared<const Result<SelectStatement>>(ParseSelect(text));
     queries.push_back(
-        {name, [sql](const Database& db) { return PlanSql(sql, db); }});
+        {name, [statement](const Database& db) -> Result<PlanNodePtr> {
+           if (!statement->ok()) return statement->status();
+           return PlanQuery(statement->value(), db);
+         }});
   }
   return queries;
 }

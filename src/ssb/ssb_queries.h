@@ -19,8 +19,9 @@ struct NamedQuery {
 
 /// All 13 SSB queries (Q1.1–Q4.3), following the O'Neil specification:
 /// flight 1 filters the fact table directly, flights 2–4 join 2–4 dimension
-/// tables with increasingly selective predicates. Each builder plans the
-/// query's SQL text with PlanSql.
+/// tables with increasingly selective predicates. Each query's SQL text is
+/// parsed once per call; its builder plans that statement with PlanQuery
+/// and returns the parse error, if any.
 std::vector<NamedQuery> SsbQueries();
 
 /// Looks up one SSB query by name ("Q1.1" ... "Q4.3").

@@ -112,11 +112,13 @@ WorkloadRunResult RunWorkload(StrategyRunner& runner,
       ++session_failed[user];
       return true;
     }
+    // Latency includes the wait for admission, so Admission Control's
+    // latencies are comparable with the other strategies'.
+    Stopwatch latency;
     admission.Acquire();
     // Empty stats: the executor registers the plan the runner optimizes.
     auto stats = std::make_shared<QueryStats>();
     stats->set_name(query.name);
-    Stopwatch latency;
     Result<TablePtr> result = runner.RunQuery(plan.value(), stats);
     const int64_t micros = latency.ElapsedMicros();
     admission.Release();

@@ -81,6 +81,16 @@ class PlacementTest : public ::testing::Test {
     return Footprint(node, tables, ProcessorKind::kGpu, *ctx_);
   }
 
+  /// A child result holding `table` on `where`; `base_data` marks a scan's.
+  static OperatorResult Child(TablePtr table, ProcessorKind where,
+                              bool base_data) {
+    OperatorResult result;
+    result.table = std::move(table);
+    result.location = where;
+    result.base_data = base_data;
+    return result;
+  }
+
   DatabasePtr db_;
   std::unique_ptr<EngineContext> ctx_;
 };
@@ -227,6 +237,51 @@ TEST_F(PlacementTest, AggregatePipelineFitsOnDeviceByItsBuildsAndGroups) {
     EXPECT_EQ(MakeDataDrivenPlacer()(*fused, inputs, ctx), expected) << heap;
     EXPECT_EQ(MakeHypePlacer()(*fused, inputs, ctx), expected) << heap;
   }
+}
+
+// The data-driven placer's transfer test, one case per branch. On the
+// default machine a join costs 1500 MB/s on the device and 150 MB/s on each
+// of four CPU slots, and PCIe moves 100 MB/s.
+
+/// The fused star pipeline over a cached fact source and the 100-byte build
+/// a CPU select left on the host: 5.4 us of device join plus 1 us of PCIe,
+/// against 13.5 us on every CPU slot. Paper mode keeps the rule that a
+/// host-resident input keeps an operator on the CPU.
+TEST_F(PlacementTest, DataDrivenShipsASmallHostBuildOutsidePaperMode) {
+  PlanNodePtr fused = FusePipelines(StarPlan(/*aggregate=*/true));
+  ASSERT_EQ(fused->op(), PlanOp::kFusedPipeline);
+  OperatorResult source = Child(Fact(), ProcessorKind::kGpu, true);
+  OperatorResult build = Child(Dim(), ProcessorKind::kCpu, false);
+  const std::vector<OperatorResult*> inputs = {&source, &build};
+  EXPECT_EQ(MakeDataDrivenPlacer()(*fused, inputs, *ctx_), ProcessorKind::kGpu);
+
+  SystemConfig config = TestConfig();
+  config.paper_mode = true;
+  EngineContext paper(config, db_);
+  EXPECT_EQ(MakeDataDrivenPlacer()(*fused, inputs, paper), ProcessorKind::kCpu);
+}
+
+/// Base columns cross PCIe only through the placement job: the same
+/// pipeline over a dim scan that ran on the CPU stays there.
+TEST_F(PlacementTest, DataDrivenKeepsAHostBaseInputOnTheCpu) {
+  PlanNodePtr fused = FusePipelines(StarPlan(/*aggregate=*/true));
+  OperatorResult source = Child(Fact(), ProcessorKind::kGpu, true);
+  OperatorResult build = Child(Dim(), ProcessorKind::kCpu, true);
+  const std::vector<OperatorResult*> inputs = {&source, &build};
+  EXPECT_EQ(MakeDataDrivenPlacer()(*fused, inputs, *ctx_), ProcessorKind::kCpu);
+}
+
+/// The unfused join's 8000-byte probe side, left on the host by a CPU
+/// select, takes 80 us over PCIe, against 13.5 us for the whole join on
+/// every CPU slot. Held on the device, the same probe sends the join there.
+TEST_F(PlacementTest, DataDrivenKeepsALargeHostIntermediateOnTheCpu) {
+  PlanNodePtr join = SimplePlan();
+  OperatorResult build = Child(Dim(), ProcessorKind::kGpu, true);
+  OperatorResult probe = Child(Fact(), ProcessorKind::kCpu, false);
+  const std::vector<OperatorResult*> inputs = {&build, &probe};
+  EXPECT_EQ(MakeDataDrivenPlacer()(*join, inputs, *ctx_), ProcessorKind::kCpu);
+  probe.location = ProcessorKind::kGpu;
+  EXPECT_EQ(MakeDataDrivenPlacer()(*join, inputs, *ctx_), ProcessorKind::kGpu);
 }
 
 // One DeviceFootprint case per node kind over the tiny database: fact(fk,
@@ -679,9 +734,13 @@ TEST_F(SsbSpillMachineTest, DataDrivenJobCachesCityInsteadOfRegion) {
                std::string("customer.c_city"));
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(ctx.cache().CachedKeys(), keys);
-  const std::vector<std::string> on_device = {"Q2.1", "Q2.2", "Q2.3", "Q3.3",
-                                              "Q3.4"};
-  EXPECT_EQ(CompletedTemplates(choice.keys), on_device);
+  EXPECT_EQ(CompletedTemplates(choice.keys),
+            (std::vector<std::string>{"Q2.1", "Q2.2", "Q2.3", "Q3.3", "Q3.4"}));
+  // Q3.1's and Q3.2's sources read cached columns only; their customer
+  // select runs on the CPU, and its result is shipped to the device.
+  const std::vector<std::string> on_device = {"Q2.1", "Q2.2", "Q2.3", "Q3.1",
+                                              "Q3.2", "Q3.3", "Q3.4"};
+  const std::vector<std::string> shipped = {"Q3.1", "Q3.2"};
 
   EngineContext cpu_ctx(SpillConfig(), db_);
   StrategyRunner cpu(&cpu_ctx, Strategy::kCpuOnly);
@@ -695,14 +754,20 @@ TEST_F(SsbSpillMachineTest, DataDrivenJobCachesCityInsteadOfRegion) {
         << query.name;
     int fused_on_device = 0;
     for (const auto& node : stats->nodes()) {
-      if (node->op == PlanOpToString(PlanOp::kFusedPipeline) &&
-          node->ran_on.load() == 1) {
-        ++fused_on_device;
+      const bool fused = node->op == PlanOpToString(PlanOp::kFusedPipeline);
+      if (fused && node->ran_on.load() == 1) ++fused_on_device;
+      // Only a device pipeline's shipped build sides cross to the device.
+      if (!fused) {
+        EXPECT_EQ(node->h2d_bytes.load(), 0) << query.name;
       }
     }
     const bool expect_device =
         std::count(on_device.begin(), on_device.end(), query.name) > 0;
     EXPECT_EQ(fused_on_device, expect_device ? 1 : 0) << query.name;
+    const bool expect_shipped =
+        std::count(shipped.begin(), shipped.end(), query.name) > 0;
+    EXPECT_EQ(stats->h2d_bytes() > 0, expect_shipped) << query.name;
+    EXPECT_EQ(stats->cache_misses(), 0) << query.name;
   }
 }
 

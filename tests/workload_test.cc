@@ -98,6 +98,35 @@ TEST(WorkloadDriverTest, AdmissionControlSerializesQueries) {
   EXPECT_EQ(result.failed_queries, 0u);
 }
 
+/// A query's latency includes its wait for admission. With one admission
+/// slot, every user holds a query (waiting or running) until fewer than
+/// four are left, so the 16 latencies add up to about users x wall time;
+/// timed from admission they would add up to about the wall time.
+TEST(WorkloadDriverTest, AdmissionWaitCountsInLatency) {
+  DatabasePtr db = SmallSsbDb();
+  SystemConfig config = SingleDeviceConfig();
+  config.simulate_time = true;
+  config.time_scale = 50.0;  // a few modeled milliseconds per query
+  EngineContext ctx(config, db);
+  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+  WorkloadRunOptions options;
+  options.repetitions = 16;
+  options.num_users = 4;
+  options.admission_limit = 1;
+  options.warmup_repetitions = 0;
+  WorkloadRunResult result =
+      RunWorkload(runner, ParallelSelectionQueries(), options);
+  ASSERT_EQ(result.queries_run, 16u);
+  ASSERT_EQ(result.failed_queries, 0u);
+  double latency_sum_ms = 0;
+  for (const auto& [name, stats] : result.latency_stats_by_query) {
+    latency_sum_ms += stats.mean_ms * static_cast<double>(stats.count);
+  }
+  const double users_x_wall = options.num_users * result.wall_millis;
+  EXPECT_GT(latency_sum_ms, 0.6 * users_x_wall) << users_x_wall;
+  EXPECT_LE(latency_sum_ms, users_x_wall) << users_x_wall;
+}
+
 TEST(WorkloadDriverTest, WarmupTrainsPlacementBeforeMeasurement) {
   DatabasePtr db = SmallSsbDb();
   SystemConfig config = SingleDeviceConfig();
