@@ -11,8 +11,10 @@ to a JSON-lines file (--out). At the end, for each end-to-end metric that
 BENCHMARK.json declares (read from the change's checkout), it prints both
 medians, the parent's quartiles, how many pairs the change won, and whether
 the change's median is within the metric's bound of the parent's median.
-Exits 1 if a run fails or returns a wrong result, or a median is out of
-bound.
+Then, from each run's per-template latency table (ssb_bench's
+'# Qx.y n p50_ms p90_ms max_ms' lines, kept in the JSON-lines record), it
+prints each template's median p50, parent -> change. Exits 1 if a run fails
+or returns a wrong result, or a median is out of bound.
 """
 
 import argparse
@@ -33,8 +35,34 @@ def load_runner(side, root):
     return module
 
 
+def latency_table(output):
+    """ssb_bench's per-template table: {template: {n, p50_ms, p90_ms,
+    max_ms}} from the '# Qx.y n p50_ms p90_ms max_ms' lines under its
+    '# query n p50_ms p90_ms max_ms' header."""
+    table = {}
+    rows = None
+    for line in output.splitlines():
+        fields = line.split()
+        if fields == ["#", "query", "n", "p50_ms", "p90_ms", "max_ms"]:
+            rows = table
+            continue
+        if rows is None:
+            continue
+        if len(fields) != 6 or fields[0] != "#":
+            break
+        try:
+            rows[fields[1]] = {"n": int(fields[2]),
+                               "p50_ms": float(fields[3]),
+                               "p90_ms": float(fields[4]),
+                               "max_ms": float(fields[5])}
+        except ValueError:
+            break
+    return table
+
+
 def run_once(root, workload, seed, seconds):
-    """One untraced run in `root`; returns run.py's JSON result, or None."""
+    """One untraced run in `root`; returns run.py's JSON result and the
+    run's per-template latency table, or (None, {})."""
     command = [sys.executable, os.path.join(root, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
@@ -44,8 +72,8 @@ def run_once(root, workload, seed, seconds):
     if done.returncode != 0 or not lines:
         sys.stderr.write("perf_pairs: %s exited with %d\n" %
                          (" ".join(command), done.returncode))
-        return None
-    return json.loads(lines[-1])
+        return None, {}
+    return json.loads(lines[-1]), latency_table(done.stdout)
 
 
 def quartiles(values):
@@ -81,15 +109,18 @@ def main():
     # values[side][metric][pair]; None where the run failed.
     values = {side: {m["name"]: [None] * args.pairs for m in metrics}
               for side in sides}
+    # p50s[side][template]: the template's p50 of each good run.
+    p50s = {side: {} for side in sides}
     failed = False
     for pair in range(args.pairs):
         seed = args.seed + pair
         order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result, templates = run_once(sides[side], args.workload, seed,
+                                         args.seconds)
             record = {"pair": pair, "side": side, "workload": args.workload,
                       "seed": seed, "seconds": args.seconds,
-                      "result": result}
+                      "result": result, "templates": templates}
             with open(args.out, "a") as out:
                 out.write(json.dumps(record) + "\n")
             if result is None or not result.get("correct", False):
@@ -100,6 +131,8 @@ def main():
             for metric in metrics:
                 values[side][metric["name"]][pair] = (
                     result["metrics"][metric["name"]]["value"])
+            for name, row in templates.items():
+                p50s[side].setdefault(name, []).append(row["p50_ms"])
             sys.stderr.write("perf_pairs: pair %d %s seed %d done\n" %
                              (pair, side, seed))
 
@@ -134,6 +167,16 @@ def main():
             name, p_med, "[%.4f-%.4f]" % (q1, q3), c_med, move,
             "%d/%d" % (won, len(both)), bound * 100,
             "yes" if within else "NO"))
+
+    names = sorted(set(p50s["parent"]) & set(p50s["change"]))
+    if names:
+        print("%-8s %14s %14s %8s" % ("template", "parent p50 ms",
+                                      "change p50 ms", "change"))
+    for name in names:
+        p_med = statistics.median(p50s["parent"][name])
+        c_med = statistics.median(p50s["change"][name])
+        move = (c_med - p_med) / p_med * 100 if p_med else 0.0
+        print("%-8s %14.2f %14.2f %+7.1f%%" % (name, p_med, c_med, move))
     return 1 if failed or out_of_bound else 0
 
 

@@ -31,8 +31,9 @@ struct ThroughputTable {
 /// becomes a 40 MB simulated device.
 struct SystemConfig {
   // --- Host CPU ------------------------------------------------------------
-  /// Number of CPU worker slots (the paper's machine has 4 cores). In
-  /// chopping mode this is the CPU thread-pool size.
+  /// Number of CPU cores (the paper's machine has 4), served shortest
+  /// remaining work first by the simulator's CPU scheduler. In chopping mode
+  /// this is also the CPU thread-pool size.
   int cpu_workers = 4;
   ThroughputTable cpu_throughput = {};  // defaults above
 

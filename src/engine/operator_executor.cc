@@ -44,7 +44,7 @@ void AttributeOutcome(const std::vector<OperatorResult*>& inputs,
 }
 
 /// CPU execution: marshal device-resident inputs back to the host, run the
-/// kernel, charge modeled CPU time (occupying a CPU slot).
+/// kernel, charge modeled CPU time (waiting for the simulated CPU's cores).
 Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
                                     const std::vector<OperatorResult*>& inputs,
                                     EngineContext& ctx) {
@@ -77,8 +77,9 @@ Result<OperatorResult> ExecuteOnCpu(const PlanNode& node,
         ctx.simulator().EstimateComputeMicros(ProcessorKind::kCpu,
                                               node.op_class(), input_bytes));
     // HyPE learns from *measured* durations (normalized back to modeled
-    // units), so the model captures slot contention and queueing that the
-    // analytical bootstrap cannot know about.
+    // units), so the model captures waits for a core (preemption by shorter
+    // kernels included) and queueing that the analytical bootstrap cannot
+    // know about.
     ctx.cost_model().Observe(
         ProcessorKind::kCpu, node.op_class(), input_bytes,
         kernel_watch.ElapsedMicros() / ctx.config().time_scale);

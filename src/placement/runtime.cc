@@ -29,8 +29,10 @@ size_t MissingInputBytes(const PlanNode& node,
 
 /// Outside paper mode, whether a non-scan `node` whose host-resident inputs
 /// are all intermediates finishes sooner on the device, shipping them over
-/// PCIe, than on an idle CPU, copying back its device-held intermediates.
-/// Analytical estimates only: no queue load and no learned model enter.
+/// PCIe, than on every CPU core, copying back its device-held
+/// intermediates. Every core is what an idle CPU gives, and what the
+/// shortest-first CPU gives a short operator under load. Analytical
+/// estimates only: no queue load and no learned model enter.
 bool ShippingIntermediatesPays(const PlanNode& node,
                                const std::vector<OperatorResult*>& inputs,
                                EngineContext& ctx) {

@@ -44,9 +44,9 @@ RuntimePlacer MakeHypePlacer();
 ///  * outside paper mode, a non-scan operator whose host-resident inputs are
 ///    all intermediates goes to the device when its modeled device time plus
 ///    their host-to-device transfer is below its modeled time on every CPU
-///    slot plus the copy-back of its device-held intermediates. A
+///    core plus the copy-back of its device-held intermediates. A
 ///    host-resident base-data input still keeps it on the CPU. With PCIe
-///    slower than the CPU slots together, a single-input operator never
+///    slower than the CPU cores together, a single-input operator never
 ///    passes this test.
 /// After an abort the restarted operator's output is host-resident, so
 /// successors fall back to the CPU automatically.

@@ -18,7 +18,7 @@ const char* ProcessorKindToString(ProcessorKind kind) {
 Simulator::Simulator(const SystemConfig& config)
     : config_(config),
       clock_(config.simulate_time, config.time_scale),
-      cpu_slots_(config.cpu_workers),
+      cpu_(config.cpu_workers, config.time_scale),
       retry_rng_(kRetryJitterSeed) {
   HETDB_CHECK(config.cpu_workers > 0);
   HETDB_CHECK(config.pcie_mbps > 0);
@@ -86,12 +86,16 @@ void Simulator::ChargeCompute(ProcessorKind processor, OpClass op_class,
   if (processor == ProcessorKind::kGpu) {
     std::lock_guard<std::mutex> lock(devices_[Check(device)]->kernel_mutex);
     clock_.Charge(micros);
-  } else {
-    // Intra-operator parallelism: the kernel runs on every currently idle
-    // core; under high inter-operator concurrency each operator gets one.
-    const int slots = cpu_slots_.AcquireUpTo(config_.cpu_workers);
-    clock_.Charge(micros / slots);
-    cpu_slots_.Release(slots);
+    return;
+  }
+  // The clock counts the kernel's time on every core; the scheduler realizes
+  // it shortest-first on the shared cores.
+  clock_.Count(micros / config_.cpu_workers);
+  if (!clock_.simulate()) return;
+  const double waited = cpu_.Run(micros);
+  if (QueryStats* stats = QueryStatsScope::current_stats()) {
+    stats->OnCpuWait(static_cast<int64_t>(waited),
+                     QueryStatsScope::current_node());
   }
 }
 

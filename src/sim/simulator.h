@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "fault/fault_injector.h"
+#include "sim/cpu_scheduler.h"
 #include "sim/device_allocator.h"
 #include "sim/pcie_bus.h"
 #include "sim/sim_clock.h"
@@ -26,7 +27,7 @@ const char* ProcessorKindToString(ProcessorKind kind);
 enum class OpClass { kScan, kJoin, kAggregate, kSort, kProject, kMaterialize };
 
 /// Simple counting semaphore (std::counting_semaphore needs a compile-time
-/// ceiling; the CPU slot count is a runtime config value).
+/// ceiling; the admission limit is a runtime value).
 class Semaphore {
  public:
   explicit Semaphore(int count) : count_(count) {}
@@ -36,24 +37,10 @@ class Semaphore {
     cv_.wait(lock, [this] { return count_ > 0; });
     --count_;
   }
-  void Release() { Release(1); }
-
-  /// Blocks until at least one permit is free, then takes up to `max_count`
-  /// of the free permits and returns how many were taken. Used to model
-  /// adaptive intra-operator parallelism: an idle machine gives a kernel all
-  /// cores, a loaded machine one (Section 5.2 / Psaroudakis et al.).
-  int AcquireUpTo(int max_count) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return count_ > 0; });
-    const int taken = std::min(count_, max_count);
-    count_ -= taken;
-    return taken;
-  }
-
-  void Release(int permits) {
+  void Release() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      count_ += permits;
+      ++count_;
     }
     cv_.notify_all();
   }
@@ -64,15 +51,17 @@ class Semaphore {
   int count_;
 };
 
-/// Bundles the simulated machine: host CPU slots, N co-processors (each a
+/// Bundles the simulated machine: host CPU cores, N co-processors (each a
 /// heap allocator + kernel serialization + PCIe link + fault injector), and
 /// an optional NVLink-style device-to-device path.
 ///
 /// One Simulator instance represents one machine; every engine, cache, and
 /// workload run is constructed over a Simulator. Timing semantics:
 ///
-///  * `ChargeCompute(kCpu, ...)` occupies one of `cpu_workers` CPU slots for
-///    the modeled kernel duration — the host has finitely many cores.
+///  * `ChargeCompute(kCpu, ...)` hands the kernel's modeled single-core work
+///    to the CPU scheduler (`CpuScheduler`): the `cpu_workers` cores serve
+///    the kernel with the least remaining work, so an idle machine gives one
+///    kernel every core and a short kernel preempts a long one.
 ///  * `ChargeCompute(kGpu, ..., device)` serializes on that device's kernel
 ///    lock — kernels time-share *their* co-processor, while the *memory* of
 ///    concurrently running device operators stays allocated for their whole
@@ -111,8 +100,9 @@ class Simulator {
 
   /// Models executing one operator kernel of class `op_class` over
   /// `input_bytes` of data on `processor` (device `device` when kGpu).
-  /// Blocks for the modeled duration (plus any queuing for a CPU slot / the
-  /// device's kernel lock).
+  /// Blocks for the modeled duration (plus any wait for a CPU core / the
+  /// device's kernel lock). A CPU kernel's wait for a core is recorded on
+  /// the current `QueryStatsScope`.
   void ChargeCompute(ProcessorKind processor, OpClass op_class,
                      size_t input_bytes, int device = 0);
 
@@ -173,7 +163,7 @@ class Simulator {
   SystemConfig config_;
   SimClock clock_;
   std::vector<std::unique_ptr<Device>> devices_;
-  Semaphore cpu_slots_;
+  CpuScheduler cpu_;
   std::mutex retry_rng_mutex_;
   Rng retry_rng_;
   std::mutex d2d_lane_mutex_;

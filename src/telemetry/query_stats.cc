@@ -171,6 +171,13 @@ void QueryStats::OnRun(int64_t micros, NodeStats* node) {
   }
 }
 
+void QueryStats::OnCpuWait(int64_t micros, NodeStats* node) {
+  cpu_wait_micros_.fetch_add(micros, std::memory_order_relaxed);
+  if (node != nullptr) {
+    node->cpu_wait_micros.fetch_add(micros, std::memory_order_relaxed);
+  }
+}
+
 int64_t QueryStats::device_retries() const {
   int64_t total = 0;
   for (const auto& node : nodes_) {
@@ -266,7 +273,9 @@ std::string QueryStats::ToText() const {
       os << "  wait=" << FormatMillis(
                 node.queue_wait_micros.load(std::memory_order_relaxed))
          << " run=" << FormatMillis(
-                node.run_micros.load(std::memory_order_relaxed));
+                node.run_micros.load(std::memory_order_relaxed))
+         << " cpu_wait=" << FormatMillis(
+                node.cpu_wait_micros.load(std::memory_order_relaxed));
       os << "\n";
       for (const NodeStats* child : children[static_cast<size_t>(node.index)]) {
         Print(*child, depth + 1);
@@ -290,6 +299,7 @@ std::string QueryStats::ToText() const {
      << cache_hits() << ",m=" << cache_misses() << ")"
      << "  wait=" << FormatMillis(queue_wait_micros())
      << " run=" << FormatMillis(run_micros())
+     << " cpu_wait=" << FormatMillis(cpu_wait_micros())
      << "  retries=" << device_retries()
      << " fallbacks=" << cpu_fallbacks()
      << " heap_declines=" << heap_declines() << "\n";
@@ -312,6 +322,7 @@ std::string QueryStats::ToJson() const {
      << ",\"cache_misses\":" << cache_misses()
      << ",\"queue_wait_us\":" << queue_wait_micros()
      << ",\"run_us\":" << run_micros()
+     << ",\"cpu_wait_us\":" << cpu_wait_micros()
      << ",\"device_retries\":" << device_retries()
      << ",\"cpu_fallbacks\":" << cpu_fallbacks()
      << ",\"heap_declines\":" << heap_declines() << ",\"nodes\":[";
@@ -345,6 +356,8 @@ std::string QueryStats::ToJson() const {
        << ",\"queue_wait_us\":"
        << node.queue_wait_micros.load(std::memory_order_relaxed)
        << ",\"run_us\":" << node.run_micros.load(std::memory_order_relaxed)
+       << ",\"cpu_wait_us\":"
+       << node.cpu_wait_micros.load(std::memory_order_relaxed)
        << ",\"attempts\":" << node.attempts.load(std::memory_order_relaxed)
        << ",\"device_retries\":"
        << node.device_retries.load(std::memory_order_relaxed)
@@ -373,6 +386,7 @@ std::vector<std::pair<std::string, std::string>> QueryStats::SummaryFields()
   fields.emplace_back("cache_misses", std::to_string(cache_misses()));
   fields.emplace_back("queue_wait_us", std::to_string(queue_wait_micros()));
   fields.emplace_back("run_us", std::to_string(run_micros()));
+  fields.emplace_back("cpu_wait_us", std::to_string(cpu_wait_micros()));
   fields.emplace_back("device_retries", std::to_string(device_retries()));
   fields.emplace_back("cpu_fallbacks", std::to_string(cpu_fallbacks()));
   fields.emplace_back("heap_declines", std::to_string(heap_declines()));

@@ -44,6 +44,9 @@ struct NodeStats {
   std::atomic<int64_t> heap_high_water{0};
   std::atomic<int64_t> queue_wait_micros{0};  ///< ready -> picked up
   std::atomic<int64_t> run_micros{0};         ///< wall time executing
+  /// Wall time, within `run_micros`, that its CPU kernels spent in the CPU
+  /// scheduler holding no core.
+  std::atomic<int64_t> cpu_wait_micros{0};
   std::atomic<int64_t> attempts{0};        ///< executions incl. retries (chops)
   std::atomic<int64_t> device_retries{0};  ///< transient-fault device retries
   std::atomic<int64_t> cpu_fallbacks{0};   ///< device abort -> CPU restart
@@ -147,6 +150,8 @@ class QueryStats {
   void OnCacheAccess(bool hit, NodeStats* node);
   void OnQueueWait(int64_t micros, NodeStats* node);
   void OnRun(int64_t micros, NodeStats* node);
+  /// Wall time a CPU kernel waited in the CPU scheduler holding no core.
+  void OnCpuWait(int64_t micros, NodeStats* node);
 
   // --- Query-level aggregates ----------------------------------------------
   int64_t h2d_bytes() const {
@@ -182,6 +187,9 @@ class QueryStats {
   int64_t run_micros() const {
     return run_micros_.load(std::memory_order_relaxed);
   }
+  int64_t cpu_wait_micros() const {
+    return cpu_wait_micros_.load(std::memory_order_relaxed);
+  }
 
   // --- Per-device breakdowns (device index clamped to kMaxDevices) ---------
   int64_t h2d_bytes(int device) const {
@@ -214,7 +222,8 @@ class QueryStats {
   /// EXPLAIN ANALYZE text tree: one line per operator (indented by depth)
   /// with rows, kernel time per backend, placement, PCIe bytes, cache
   /// hits/misses, heap high-water, retries/fallbacks/heap declines, and
-  /// queue-wait vs run time, followed by a query-level summary line.
+  /// queue-wait vs run time and the run's wait for a CPU core, followed by a
+  /// query-level summary line.
   std::string ToText() const;
   /// Deterministic JSON for tooling: fixed field order, nodes in
   /// registration (pre-order) order.
@@ -251,6 +260,7 @@ class QueryStats {
   std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> queue_wait_micros_{0};
   std::atomic<int64_t> run_micros_{0};
+  std::atomic<int64_t> cpu_wait_micros_{0};
   std::atomic<int64_t> d2d_bytes_{0};
   std::atomic<int64_t> h2d_bytes_by_device_[kMaxDevices] = {};
   std::atomic<int64_t> d2h_bytes_by_device_[kMaxDevices] = {};

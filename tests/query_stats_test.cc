@@ -263,6 +263,38 @@ TEST(ExplainTest, AnalyzeMarksPlacementDemotionsAsRequestedGpu) {
   EXPECT_EQ(stats->heap_declines(), 0);
 }
 
+/// A CPU operator alone on the machine gets every core at once: EXPLAIN
+/// ANALYZE reads no wait for a core, and a run at least as long as its
+/// modeled kernel on every core.
+TEST(ExplainTest, AnalyzeShowsNoCpuWaitOnAnIdleMachine) {
+  DatabasePtr db = SsbDb();
+  SystemConfig config;
+  ASSERT_TRUE(config.simulate_time);
+  ASSERT_EQ(config.time_scale, 1.0);
+  EngineContext ctx(config, db);
+  StrategyRunner runner(&ctx, Strategy::kCpuOnly);
+  Result<PlanNodePtr> plan = SerialSelectionQueries()[0].builder(*db);
+  ASSERT_TRUE(plan.ok());
+  QueryStatsPtr stats = MakeQueryStats(plan.value());
+  ASSERT_TRUE(runner.RunQuery(plan.value(), stats).ok());
+
+  int kernels = 0;
+  for (const auto& node : stats->nodes()) {
+    const int64_t kernel_micros = node->cpu_kernel_micros.load();
+    if (kernel_micros == 0) continue;
+    ++kernels;
+    EXPECT_EQ(node->cpu_wait_micros.load(), 0) << node->label;
+    EXPECT_GE(node->run_micros.load(), kernel_micros / config.cpu_workers)
+        << node->label;
+  }
+  EXPECT_GT(kernels, 0);
+  EXPECT_EQ(stats->cpu_wait_micros(), 0);
+  const std::string text = stats->ToText();
+  EXPECT_NE(text.find(" cpu_wait=0.00ms\n"), std::string::npos) << text;
+  const std::string json = stats->ToJson();
+  EXPECT_NE(json.find(",\"cpu_wait_us\":0,"), std::string::npos) << json;
+}
+
 TEST(ExplainTest, FailedQueryRendersErrorAndStatus) {
   QueryStats stats;
   stats.MarkSubmitted();

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "sim/cpu_scheduler.h"
 #include "sim/simulator.h"
 
 namespace hetdb {
@@ -243,12 +249,178 @@ TEST(SimulatorTest, HeapCapacityFollowsConfig) {
 TEST(SimulatorTest, ChargeComputeAccumulatesClock) {
   SystemConfig config = FastConfig();
   config.cpu_throughput.scan_mbps = 100;
-  config.cpu_workers = 1;  // disable intra-operator parallelism for exactness
+  config.cpu_workers = 1;  // the clock counts work / cores: here all of it
   Simulator sim(config);
   sim.ChargeCompute(ProcessorKind::kCpu, OpClass::kScan, 1000);
   EXPECT_EQ(sim.clock().total_charged_micros(), 10);
   sim.ChargeCompute(ProcessorKind::kGpu, OpClass::kScan, 1 << 20);
   EXPECT_GT(sim.clock().total_charged_micros(), 10);
+}
+
+// The CPU scheduler's bookkeeping, driven with explicit wall times (micros)
+// and no sleeps: four cores at time scale 1, so a kernel of work W alone on
+// the machine finishes W / 4 after it arrives.
+constexpr int kCores = 4;
+using Kernel = CpuScheduler::Kernel;
+
+/// Plays the scheduler forward as the waiting threads would: at the running
+/// kernel's projected finish its thread finds it done and departs. Returns
+/// the departures in order, each with its time.
+std::vector<std::pair<const Kernel*, double>> Drain(
+    CpuScheduler& scheduler, std::vector<Kernel*> kernels) {
+  std::vector<std::pair<const Kernel*, double>> departures;
+  while (!kernels.empty()) {
+    auto running = std::find_if(kernels.begin(), kernels.end(),
+                                [](const Kernel* k) { return k->cores > 0; });
+    EXPECT_NE(running, kernels.end());
+    if (running == kernels.end()) break;
+    EXPECT_EQ((*running)->cores, kCores);
+    const double now = (*running)->finish;
+    scheduler.Update(now);
+    EXPECT_TRUE((*running)->done());
+    scheduler.Depart(*running, now);
+    departures.emplace_back(*running, now);
+    kernels.erase(running);
+  }
+  return departures;
+}
+
+TEST(CpuSchedulerTest, IdleMachineGivesOneKernelEveryCore) {
+  CpuScheduler scheduler(kCores, 1.0);
+  Kernel kernel;
+  scheduler.Arrive(&kernel, 400, 1000);
+  EXPECT_EQ(kernel.cores, kCores);
+  EXPECT_DOUBLE_EQ(kernel.finish, 1100);
+  scheduler.Update(1050);
+  EXPECT_DOUBLE_EQ(kernel.remaining, 200);
+  EXPECT_FALSE(kernel.done());
+  scheduler.Update(1100);
+  EXPECT_TRUE(kernel.done());
+  EXPECT_EQ(kernel.waited, 0);
+  scheduler.Depart(&kernel, 1100);
+
+  // The time scale stretches the wall time, not the work.
+  CpuScheduler scaled(kCores, 0.5);
+  Kernel fast;
+  scaled.Arrive(&fast, 400, 0);
+  EXPECT_DOUBLE_EQ(fast.finish, 50);
+  scaled.Depart(&fast, 50);
+}
+
+TEST(CpuSchedulerTest, ShortKernelPreemptsALongOne) {
+  CpuScheduler scheduler(kCores, 1.0);
+  Kernel long_kernel;
+  Kernel short_kernel;
+  scheduler.Arrive(&long_kernel, 4000, 0);
+  EXPECT_DOUBLE_EQ(long_kernel.finish, 1000);
+  // During the long kernel's run, with 3200 of its work left.
+  scheduler.Arrive(&short_kernel, 400, 200);
+  EXPECT_DOUBLE_EQ(long_kernel.remaining, 3200);
+  EXPECT_EQ(short_kernel.cores, kCores);
+  EXPECT_EQ(long_kernel.cores, 0);
+  // The short kernel finishes at its arrival plus its solo time ...
+  const auto departures = Drain(scheduler, {&long_kernel, &short_kernel});
+  ASSERT_EQ(departures.size(), 2u);
+  EXPECT_EQ(departures[0].first, &short_kernel);
+  EXPECT_DOUBLE_EQ(departures[0].second, 300);
+  EXPECT_EQ(short_kernel.waited, 0);
+  // ... and the long one finishes later by exactly that solo time.
+  EXPECT_EQ(departures[1].first, &long_kernel);
+  EXPECT_DOUBLE_EQ(departures[1].second, 1100);
+  EXPECT_DOUBLE_EQ(long_kernel.waited, 100);
+}
+
+TEST(CpuSchedulerTest, EqualRemainingWorkRunsInArrivalOrder) {
+  CpuScheduler scheduler(kCores, 1.0);
+  Kernel first;
+  Kernel second;
+  Kernel third;
+  scheduler.Arrive(&first, 800, 0);
+  // At 100 the first kernel has 400 left, as much as the second brings: the
+  // earlier arrival keeps the cores.
+  scheduler.Arrive(&second, 400, 100);
+  EXPECT_EQ(first.cores, kCores);
+  EXPECT_EQ(second.cores, 0);
+  scheduler.Arrive(&third, 400, 150);
+  const auto departures = Drain(scheduler, {&third, &second, &first});
+  ASSERT_EQ(departures.size(), 3u);
+  EXPECT_EQ(departures[0].first, &first);
+  EXPECT_DOUBLE_EQ(departures[0].second, 200);
+  EXPECT_EQ(departures[1].first, &second);
+  EXPECT_DOUBLE_EQ(departures[1].second, 300);
+  EXPECT_EQ(departures[2].first, &third);
+  EXPECT_DOUBLE_EQ(departures[2].second, 400);
+}
+
+TEST(CpuSchedulerTest, KernelsArrivingTogetherFinishBySummedWorkOverCores) {
+  CpuScheduler scheduler(kCores, 1.0);
+  const std::vector<double> work = {900, 100, 400, 2000, 250, 400};
+  std::vector<std::unique_ptr<Kernel>> owned;
+  std::vector<Kernel*> kernels;
+  for (double w : work) {
+    owned.push_back(std::make_unique<Kernel>());
+    kernels.push_back(owned.back().get());
+    scheduler.Arrive(kernels.back(), w, 0);
+  }
+  const auto departures = Drain(scheduler, kernels);
+  ASSERT_EQ(departures.size(), work.size());
+  // Shortest first, the two 400s in arrival order; no core ever idles, so
+  // each kernel leaves when the work up to and including its own is done.
+  const std::vector<size_t> order = {1, 4, 2, 5, 0, 3};
+  double done = 0;
+  for (size_t i = 0; i < departures.size(); ++i) {
+    EXPECT_EQ(departures[i].first, kernels[order[i]]) << i;
+    done += work[order[i]];
+    EXPECT_DOUBLE_EQ(departures[i].second, done / kCores) << i;
+  }
+  EXPECT_DOUBLE_EQ(departures.back().second,
+                   std::accumulate(work.begin(), work.end(), 0.0) / kCores);
+}
+
+TEST(CpuSchedulerTest, ClockOnlyModeNeverEntersTheScheduler) {
+  SystemConfig config = FastConfig();
+  config.cpu_throughput.scan_mbps = 1.0;  // one byte, one modeled micro
+  Simulator sim(config);
+  // 40 modeled seconds: in the scheduler this would block for 10 s.
+  const auto start = std::chrono::steady_clock::now();
+  sim.ChargeCompute(ProcessorKind::kCpu, OpClass::kScan, 40'000'000);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(sim.clock().total_charged_micros(),
+            40'000'000 / config.cpu_workers);
+}
+
+TEST(CpuSchedulerTest, ConcurrentKernelsAllReturnAndTheClockAddsUp) {
+  SystemConfig config;
+  config.simulate_time = true;
+  config.time_scale = 1e-4;
+  config.cpu_throughput.scan_mbps = 1.0;  // one byte, one modeled micro
+  Simulator sim(config);
+  constexpr int kThreads = 8;
+  constexpr int kKernels = 50;
+  const size_t sizes[] = {1, 300, 20'000, 1'000'000, 4'000};
+  auto bytes = [&sizes](int thread, int kernel) {
+    return sizes[static_cast<size_t>(thread + kernel) % std::size(sizes)];
+  };
+  int64_t expected = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kKernels; ++i) {
+      expected += static_cast<int64_t>(static_cast<double>(bytes(t, i)) /
+                                       config.cpu_workers);
+    }
+  }
+  std::atomic<int> returned{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kKernels; ++i) {
+        sim.ChargeCompute(ProcessorKind::kCpu, OpClass::kScan, bytes(t, i));
+        returned.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(returned.load(), kThreads * kKernels);
+  EXPECT_EQ(sim.clock().total_charged_micros(), expected);
 }
 
 TEST(SemaphoreTest, LimitsConcurrency) {
